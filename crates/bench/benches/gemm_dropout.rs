@@ -1,16 +1,23 @@
 //! Measured CPU wall-clock of the dense GEMM + mask path (conventional
-//! dropout) vs the compacted GEMMs (Fig. 4 / Table I, CPU counterpart).
+//! dropout) vs the compacted GEMM and the tile layer (Fig. 4 / Table I, CPU
+//! counterpart).
 //!
-//! The compacted kernels really do skip the dropped work, so the ratio of
-//! the `dense_plus_mask` group to the `row_compact` / `tile_compact` groups
-//! is a measured (not modelled) speedup with the same shape as the paper's.
+//! The row-compacted kernel really does skip the dropped work, so the ratio
+//! of the `dense_plus_mask` group to the `row_compact` group is a measured
+//! (not modelled) speedup with the same shape as the paper's. The
+//! `tile_compact` group times a tile-planned `Linear` forward, which on the
+//! CPU is a dense GEMM against the tile-masked weight panel.
 
-use approx_dropout::{BernoulliDropout, DropoutRate, RowPattern, TileGrid, TilePattern};
+use approx_dropout::{
+    BernoulliDropout, DropoutPlan, DropoutRate, LayerShape, RowPattern, SampledPattern, TileGrid,
+    TilePattern,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nn::Linear;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tensor::{gemm, init, Matrix};
+use tensor::{gemm, init, Activation, Matrix};
 
 const BATCH: usize = 32;
 const DIM: usize = 256;
@@ -52,13 +59,17 @@ fn bench_gemm_dropout(c: &mut Criterion) {
 
         let grid = TileGrid::new(DIM, DIM, 32).expect("valid grid");
         let tile = TilePattern::new(dp, 0, 32).expect("valid pattern");
-        let kept_tiles = tile.kept_tiles(&grid);
+        let plan = DropoutPlan::tile(
+            LayerShape::new(DIM, DIM),
+            SampledPattern::from_tile(tile, &grid),
+            grid,
+        );
+        let mut layer = Linear::from_parameters(w.clone(), Matrix::zeros(1, DIM));
+        let mut out = Matrix::default();
         group.bench_with_input(BenchmarkId::new("tile_compact", dp), &dp, |b, _| {
             b.iter(|| {
-                black_box(
-                    gemm::tile_compact_gemm(black_box(&x), black_box(&w), &kept_tiles, 32)
-                        .expect("tiles in bounds"),
-                )
+                layer.forward_act_into(black_box(&x), &plan, Activation::Identity, &mut out);
+                black_box(&out);
             })
         });
     }

@@ -1,15 +1,19 @@
 //! Ablation of the tile size used by the Tile-based Dropout Pattern.
 //!
 //! The paper fixes 32×32 to match the 32 shared-memory banks; this bench
-//! measures how the CPU compacted GEMM behaves for 8/16/32/64 tiles at the
-//! same dropout rate, and the `gpu-sim` model covers the GPU-side argument.
+//! measures how the CPU tile layer behaves for 8/16/32/64 tiles at the same
+//! dropout rate, and the `gpu-sim` model covers the GPU-side argument. On
+//! the CPU a tile-planned `Linear` forward is a dense GEMM against the
+//! tile-masked weight panel, so only the panel build depends on the tile
+//! size.
 
-use approx_dropout::{TileGrid, TilePattern};
+use approx_dropout::{DropoutPlan, LayerShape, SampledPattern, TileGrid, TilePattern};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nn::Linear;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tensor::{gemm, init};
+use tensor::{init, Activation, Matrix};
 
 const BATCH: usize = 32;
 const DIM: usize = 256;
@@ -25,13 +29,17 @@ fn bench_tile_sizes(c: &mut Criterion) {
     for &tile in &[8usize, 16, 32, 64] {
         let grid = TileGrid::new(DIM, DIM, tile).expect("valid grid");
         let pattern = TilePattern::new(dp, 0, tile).expect("valid pattern");
-        let kept = pattern.kept_tiles(&grid);
+        let plan = DropoutPlan::tile(
+            LayerShape::new(DIM, DIM),
+            SampledPattern::from_tile(pattern, &grid),
+            grid,
+        );
+        let mut layer = Linear::from_parameters(w.clone(), Matrix::zeros(1, DIM));
+        let mut out = Matrix::default();
         group.bench_with_input(BenchmarkId::from_parameter(tile), &tile, |b, _| {
             b.iter(|| {
-                black_box(
-                    gemm::tile_compact_gemm(black_box(&x), black_box(&w), &kept, tile)
-                        .expect("tiles in bounds"),
-                )
+                layer.forward_act_into(black_box(&x), &plan, Activation::Identity, &mut out);
+                black_box(&out);
             })
         });
     }

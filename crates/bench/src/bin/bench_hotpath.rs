@@ -7,9 +7,12 @@
 //!    branch, reproduced verbatim below) versus the packed micro-kernel
 //!    pipeline, single-threaded — the kernel-rewrite speedup;
 //! 2. the packed dense GEMM at 1/2/4 threads — batch-dimension scaling;
-//! 3. the row- and tile-compacted kernels at a dp=2 pattern versus the dense
-//!    kernel — the speedup the paper's compaction is supposed to buy once
-//!    constant overhead stops drowning it;
+//! 3. the row-compacted kernel and the tile layer forward at a dp=2 pattern
+//!    versus the dense kernel — the speedup the paper's compaction is
+//!    supposed to buy once constant overhead stops drowning it. Tile dropout
+//!    runs a dense GEMM against a tile-masked weight panel on the CPU, so the
+//!    `tile_compact` section times `Linear::forward_act_into` under a tile
+//!    plan: panel build plus dense GEMM plus write-back;
 //! 4. one MLP training epoch (row-pattern dropout) at 1/2/4 threads;
 //! 5. the fused whole-layer forward (one GEMM+bias+ReLU kernel per layer)
 //!    versus the separate GEMM → bias → ReLU chain, on the CPU *and* in the
@@ -32,15 +35,17 @@
 //! (`BENCH_TOLERANCE`, default 15%); `simd.*` ratios are skipped when the
 //! baseline was recorded on a different ISA.
 
-use approx_dropout::{scheme, DropoutRate};
+use approx_dropout::{
+    scheme, DropoutPlan, DropoutRate, LayerShape, SampledPattern, TileGrid, TilePattern,
+};
 use gpu_sim::{GpuConfig, MlpSpec, NetworkTimingModel};
-use nn::{Mlp, MlpConfig};
+use nn::{Linear, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use tensor::{
-    blocked_gemm, gemm_a_bt, gemm_bias_act, init, pool, row_compact_gemm, simd, tile_compact_gemm,
-    Activation, Matrix, SimdLevel,
+    blocked_gemm, gemm_a_bt, gemm_bias_act, init, pool, row_compact_gemm, simd, Activation, Matrix,
+    SimdLevel,
 };
 
 /// The seed repository's cache-blocked GEMM, kept verbatim as the baseline
@@ -222,11 +227,17 @@ fn main() {
         std::hint::black_box(row_compact_gemm(&a, &b, &kept_cols).unwrap());
     });
     let tile = 32.min(cfg.k).min(cfg.n);
-    let tiles_per_row = cfg.n.div_ceil(tile);
-    let tiles_per_col = cfg.k.div_ceil(tile);
-    let kept_tiles: Vec<usize> = (0..tiles_per_row * tiles_per_col).step_by(2).collect();
+    let grid = TileGrid::new(cfg.k, cfg.n, tile).unwrap();
+    let tile_plan = DropoutPlan::tile(
+        LayerShape::new(cfg.k, cfg.n),
+        SampledPattern::from_tile(TilePattern::new(2, 0, tile).unwrap(), &grid),
+        grid,
+    );
+    let mut tile_layer = Linear::from_parameters(b.clone(), Matrix::zeros(1, cfg.n));
+    let mut tile_out = Matrix::default();
     let tile_secs = bench(cfg.reps, || {
-        std::hint::black_box(tile_compact_gemm(&a, &b, &kept_tiles, tile).unwrap());
+        tile_layer.forward_act_into(&a, &tile_plan, Activation::Identity, &mut tile_out);
+        std::hint::black_box(&tile_out);
     });
     eprintln!(
         "row-compact dp=2       {:>10.3} ms ({:.2}x dense)",
@@ -234,7 +245,7 @@ fn main() {
         dense_1t / row_secs
     );
     eprintln!(
-        "tile-compact dp=2      {:>10.3} ms ({:.2}x dense)",
+        "tile layer fwd dp=2    {:>10.3} ms ({:.2}x dense)",
         tile_secs * 1e3,
         dense_1t / tile_secs
     );

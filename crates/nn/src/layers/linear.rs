@@ -6,16 +6,18 @@
 //! crate that maps plan fields to kernels — and both the forward and the
 //! backward pass dispatch on that classification:
 //!
-//! * [`ExecPath::Gather`] — scattered kept output neurons (the Row-based
-//!   Dropout Pattern, and N:M structured sparsity with the group structure
-//!   validated): the column-gather compacted kernels of `tensor::gemm`
-//!   compute only surviving neurons, scaled by the plan's inverted-dropout
-//!   factor;
-//! * [`ExecPath::Blocks`] — contiguous kept output-neuron blocks
-//!   (block-structured unit dropout): the block-compacted kernels stream
-//!   whole column strips with no gather at all;
+//! * [`ExecPath::Gather`] — kept output neurons (the Row-based Dropout
+//!   Pattern, N:M structured sparsity with the group structure validated,
+//!   and block-structured unit dropout with its kept blocks expanded into
+//!   kept columns, the last block clipped to the layer width): the
+//!   column-gather compacted kernels of `tensor::gemm` pack the surviving
+//!   columns of `W`, run the dense micro-kernel over the packed panel and
+//!   scale by the plan's inverted-dropout factor;
 //! * [`ExecPath::Tiles`] — kept weight tiles of the Tile-based Dropout
-//!   Pattern ([`tensor::tile_compact_gemm`]);
+//!   Pattern: a dense GEMM against the tile-masked weight panel `W ⊙ M`,
+//!   built once per forward and reused for `dX` in backward. The CPU does
+//!   the full dense product here; the gpu-sim timing model still prices
+//!   tile (and block) dropout as compaction;
 //! * [`ExecPath::CrsK`] — K-dimension sampled GEMM (column-row sampling):
 //!   only the kept inner products run and the `K/k` estimator scale corrects
 //!   the raw product before the bias;
@@ -40,7 +42,7 @@ use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, TileGrid};
 use rand::Rng;
 use tensor::{
-    gemm, init, pool, simd, GatherColsScratch, GatherKScratch, Matrix, RowCompactScratch,
+    gemm, init, simd, Epilogue, GatherColsScratch, GatherKScratch, Matrix, RowCompactScratch,
 };
 
 /// The execution strategy a [`DropoutPlan`] implies for a fully connected
@@ -57,23 +59,17 @@ enum ExecPath<'p> {
         /// Per-output-neuron 0/1 mask (1 = kept).
         mask: &'p [f32],
     },
-    /// Column-gather compaction over scattered kept output neurons; `nm`
-    /// carries the `(n, m)` group parameters when the plan is an N:M plan
-    /// (validated by the kernel).
+    /// Column-gather compaction over kept output neurons; `nm` carries the
+    /// `(n, m)` group parameters when the plan is an N:M plan (validated by
+    /// the kernel).
     Gather {
         /// Kept output-neuron indices, ascending.
         kept: &'p [usize],
-        /// `(n, m)` for N:M plans, `None` for row plans.
+        /// `(n, m)` for N:M plans, `None` for row and block plans.
         nm: Option<(usize, usize)>,
     },
-    /// Contiguous block-strip compaction of block-structured unit dropout.
-    Blocks {
-        /// Kept block indices, ascending.
-        kept: &'p [usize],
-        /// Block width in neurons.
-        block: usize,
-    },
-    /// 2-D tile compaction of the Tile-based Dropout Pattern.
+    /// Dense GEMM against the tile-masked weight panel of the Tile-based
+    /// Dropout Pattern.
     Tiles {
         /// Kept tile indices, ascending.
         kept: &'p [usize],
@@ -101,8 +97,14 @@ enum ExecPath<'p> {
     },
 }
 
-/// Classifies a plan into its execution path.
-fn exec_path(plan: &DropoutPlan) -> ExecPath<'_> {
+/// Classifies a plan into its execution path. A block plan's kept blocks
+/// are expanded into `block_cols`, the last block clipped to
+/// `out_features`, so it runs through the gather kernels.
+fn exec_path<'p>(
+    plan: &'p DropoutPlan,
+    out_features: usize,
+    block_cols: &'p mut Vec<usize>,
+) -> ExecPath<'p> {
     // CRS is orthogonal to the output-neuron families, so it is classified
     // first: a plan carrying both a kept-row set and a kept-K selection is
     // the composed double-compaction call.
@@ -128,7 +130,14 @@ fn exec_path(plan: &DropoutPlan) -> ExecPath<'_> {
         };
     }
     if let Some((kept, block, _)) = plan.kept_unit_blocks() {
-        return ExecPath::Blocks { kept, block };
+        block_cols.clear();
+        for &b in kept {
+            block_cols.extend((b * block)..((b + 1) * block).min(out_features));
+        }
+        return ExecPath::Gather {
+            kept: block_cols,
+            nm: None,
+        };
     }
     if let Some((kept, grid)) = plan.kept_tiles() {
         return ExecPath::Tiles { kept, grid };
@@ -166,8 +175,13 @@ struct Workspace {
     armed: bool,
     /// Masked / scaled output-gradient buffer (dense and tile paths).
     grad: Matrix,
-    /// Packing buffers for the column-gather compacted forward GEMM (row
-    /// and N:M paths).
+    /// Kept output columns of a block plan, expanded from its kept blocks.
+    block_cols: Vec<usize>,
+    /// Tile-masked weight panel `W ⊙ M`: built by the tile forward, read
+    /// again by the tile backward for `dX`.
+    tile_panel: Matrix,
+    /// Packing buffers for the column-gather compacted forward GEMM (row,
+    /// N:M and block paths).
     row_scratch: RowCompactScratch,
     /// Gather buffers for the column-gather compacted backward pass.
     gather_scratch: GatherColsScratch,
@@ -273,7 +287,7 @@ impl Linear {
             self.in_features(),
             "input width must match in_features"
         );
-        let output = match exec_path(plan) {
+        let output = match exec_path(plan, self.weight.cols(), &mut self.ws.block_cols) {
             ExecPath::Gather { kept, nm } => {
                 let mut z = Matrix::default();
                 match nm {
@@ -305,27 +319,11 @@ impl Linear {
                 }
                 z
             }
-            ExecPath::Blocks { kept, block } => {
-                let mut z = Matrix::default();
-                gemm::block_compact_gemm_into(input, &self.weight, kept, block, &mut z)
-                    .expect("kept blocks come from the plan and are in bounds");
-                let scale = plan.scale();
-                let bias = self.bias.row(0);
-                let n = self.weight.cols();
-                for i in 0..z.rows() {
-                    let row = z.row_mut(i);
-                    for &b in kept {
-                        for j in (b * block)..((b + 1) * block).min(n) {
-                            row[j] = (row[j] + bias[j]) * scale;
-                        }
-                    }
-                }
-                z
-            }
             ExecPath::Tiles { kept, grid } => {
+                tile_masked_panel(&self.weight, kept, grid, &mut self.ws.tile_panel);
                 let mut z = Matrix::default();
-                gemm::tile_compact_gemm_into(input, &self.weight, kept, grid.tile(), &mut z)
-                    .expect("kept tiles come from the plan and are in bounds");
+                gemm::blocked_gemm_into(input, &self.ws.tile_panel, &mut z)
+                    .expect("inner dimensions must agree");
                 let scale = plan.scale();
                 z.map_inplace(|v| v * scale);
                 z.add_row_broadcast_inplace(&self.bias)
@@ -416,7 +414,7 @@ impl Linear {
             "input width must match in_features"
         );
         let scale = plan.scale();
-        match exec_path(plan) {
+        match exec_path(plan, self.weight.cols(), &mut self.ws.block_cols) {
             ExecPath::Gather { kept, nm } => match nm {
                 Some((n, m)) => gemm::nm_compact_gemm_bias_act_into(
                     input,
@@ -442,28 +440,18 @@ impl Linear {
                 ),
             }
             .expect("kept indices come from the plan and are in bounds"),
-            ExecPath::Blocks { kept, block } => gemm::block_compact_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept,
-                block,
-                &self.bias,
-                scale,
-                act,
-                out,
-            )
-            .expect("kept blocks come from the plan and are in bounds"),
-            ExecPath::Tiles { kept, grid } => gemm::tile_compact_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept,
-                grid.tile(),
-                &self.bias,
-                scale,
-                act,
-                out,
-            )
-            .expect("kept tiles come from the plan and are in bounds"),
+            ExecPath::Tiles { kept, grid } => {
+                tile_masked_panel(&self.weight, kept, grid, &mut self.ws.tile_panel);
+                gemm::gemm_epilogue_into(
+                    input,
+                    &self.ws.tile_panel,
+                    &self.bias,
+                    Epilogue::ScaledBias { scale },
+                    act,
+                    out,
+                )
+                .expect("inner dimensions must agree")
+            }
             ExecPath::CrsK { kept_k, crs_scale } => gemm::gather_k_gemm_bias_act_into(
                 input,
                 &self.weight,
@@ -492,12 +480,11 @@ impl Linear {
                 out,
             )
             .expect("kept indices come from the plan and are in bounds"),
-            ExecPath::DenseMasked { mask } => gemm::gemm_bias_act_masked_into(
+            ExecPath::DenseMasked { mask } => gemm::gemm_epilogue_into(
                 input,
                 &self.weight,
                 &self.bias,
-                mask,
-                scale,
+                Epilogue::MaskedBias { mask, scale },
                 act,
                 out,
             )
@@ -571,10 +558,10 @@ impl Linear {
             self.out_features(),
             "output width mismatch"
         );
-        let (in_features, out_features) = self.weight.shape();
+        let out_features = self.weight.cols();
         let batch = grad_output.rows();
 
-        match exec_path(&ws.plan) {
+        match exec_path(&ws.plan, out_features, &mut ws.block_cols) {
             ExecPath::Gather { kept, .. } => {
                 let scale = ws.plan.scale();
                 // Fused backward pair: the scaled kept gradient columns are
@@ -604,37 +591,6 @@ impl Linear {
                     }
                 }
             }
-            ExecPath::Blocks { kept, block } => {
-                let scale = ws.plan.scale();
-                gemm::block_compact_gemm_at_b_into(
-                    &ws.input,
-                    grad_output,
-                    kept,
-                    block,
-                    scale,
-                    &mut self.weight_grad,
-                )
-                .expect("batch dimensions agree");
-                self.bias_grad.resize(1, out_features);
-                let acc = self.bias_grad.row_mut(0);
-                for i in 0..batch {
-                    let row = grad_output.row(i);
-                    for &b in kept {
-                        for j in (b * block)..((b + 1) * block).min(out_features) {
-                            acc[j] += row[j] * scale;
-                        }
-                    }
-                }
-                gemm::block_compact_gemm_a_bt_into(
-                    grad_output,
-                    &self.weight,
-                    kept,
-                    block,
-                    scale,
-                    dx,
-                )
-                .expect("inner dimensions agree");
-            }
             ExecPath::Tiles { kept, grid } => {
                 let scale = ws.plan.scale();
                 ws.grad.clone_from(grad_output);
@@ -646,28 +602,9 @@ impl Linear {
                     .expect("batch dimensions agree");
                 zero_dropped_tiles(&mut self.weight_grad, kept, grid);
                 grad_output.sum_rows_into(&mut self.bias_grad);
-                // dX = g · (W ⊙ M)ᵀ accumulated tile-by-tile: only kept tiles
-                // contribute, Wᵀ is never materialised, and the batch dimension
-                // splits across the pool like every other gradient product.
-                let bounds: Vec<_> = kept.iter().map(|&t| grid.tile_bounds(t)).collect();
-                let grad = &ws.grad;
-                let weight = &self.weight;
-                // Zeroing resize: the tile loop below accumulates into the
-                // buffer, so stale contents must be cleared (allocation
-                // reused once warmed).
-                dx.resize(batch, in_features);
-                pool::run_row_chunks(batch, in_features, dx.as_mut_slice(), |rows, chunk| {
-                    for (local, i) in rows.enumerate() {
-                        let grow = grad.row(i);
-                        let dxrow = &mut chunk[local * in_features..(local + 1) * in_features];
-                        for (rr, cc) in &bounds {
-                            let gslice = &grow[cc.clone()];
-                            for p in rr.clone() {
-                                dxrow[p] += gemm::dot(gslice, &weight.row(p)[cc.clone()]);
-                            }
-                        }
-                    }
-                });
+                // dX = g · (W ⊙ M)ᵀ against the masked panel the forward
+                // built: one dense transposed-operand GEMM.
+                gemm::gemm_a_bt_into(&ws.grad, &ws.tile_panel, dx).expect("inner dimensions agree");
             }
             ExecPath::CrsK { kept_k, crs_scale } => {
                 // Sampled backward: both transposed products run at the
@@ -748,11 +685,19 @@ impl Linear {
     }
 }
 
-/// Zeroes every *dropped* tile of `dw` by iterating tile bounds directly —
-/// the allocation-free replacement for materialising a full 0/1 tile mask
-/// and taking a Hadamard product. `kept` must be ascending, which is how
-/// every [`DropoutPlan`] resolves its kept-tile list.
-fn zero_dropped_tiles(dw: &mut Matrix, kept: &[usize], grid: &TileGrid) {
+/// Builds the tile-masked weight panel `W ⊙ M` into `panel` (allocation
+/// reused once warmed): a copy of `weight` with every dropped tile zeroed.
+fn tile_masked_panel(weight: &Matrix, kept: &[usize], grid: &TileGrid, panel: &mut Matrix) {
+    panel.clone_from(weight);
+    zero_dropped_tiles(panel, kept, grid);
+}
+
+/// Zeroes every *dropped* tile of `m` (a weight or weight-gradient matrix)
+/// by iterating tile bounds directly — the allocation-free replacement for
+/// materialising a full 0/1 tile mask and taking a Hadamard product. `kept`
+/// must be ascending, which is how every [`DropoutPlan`] resolves its
+/// kept-tile list.
+fn zero_dropped_tiles(m: &mut Matrix, kept: &[usize], grid: &TileGrid) {
     debug_assert!(kept.windows(2).all(|w| w[0] < w[1]), "kept tiles sorted");
     let mut kept_iter = kept.iter().peekable();
     for t in 0..grid.total_tiles() {
@@ -762,7 +707,7 @@ fn zero_dropped_tiles(dw: &mut Matrix, kept: &[usize], grid: &TileGrid) {
         }
         let (rr, cc) = grid.tile_bounds(t);
         for r in rr {
-            dw.row_mut(r)[cc.clone()].fill(0.0);
+            m.row_mut(r)[cc.clone()].fill(0.0);
         }
     }
 }
@@ -1104,6 +1049,106 @@ mod tests {
                 assert_eq!(norm, 0.0, "dropped block {b} must have zero gradient");
             }
         }
+    }
+
+    /// Masked-dense backward reference: `g = dy ⊙ mult` per output column,
+    /// `dW = (Xᵀ·g) ⊙ wmask` and `dX = g · (W ⊙ wmask)ᵀ`.
+    fn masked_dense_backward(
+        layer: &Linear,
+        x: &Matrix,
+        dy: &Matrix,
+        mult: &[f32],
+        wmask: &Matrix,
+    ) -> (Matrix, Matrix) {
+        let g = Matrix::from_fn(dy.rows(), dy.cols(), |i, j| dy[(i, j)] * mult[j]);
+        let dw = x.transpose().matmul(&g).hadamard(wmask).unwrap();
+        let dx = g.matmul(&layer.weight().hadamard(wmask).unwrap().transpose());
+        (dw, dx)
+    }
+
+    #[test]
+    fn ragged_block_plan_runs_the_gather_kernel_on_clipped_columns() {
+        // 53 output columns at block 16: four blocks, the last clipped to
+        // five columns. Pick a draw that keeps the clipped block and drops
+        // another.
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut layer = Linear::new(&mut rng, 19, 53);
+        let plan = (0..64)
+            .map(|seed| block_plan(&layer, 0.5, 16, seed))
+            .find(|p| {
+                p.kept_unit_blocks()
+                    .is_some_and(|(kept, _, _)| kept.contains(&3) && kept.len() < 4)
+            })
+            .expect("some seed below 64 keeps the last block and drops another");
+        let (kept, block, total) = plan.kept_unit_blocks().unwrap();
+        assert_eq!((block, total), (16, 4));
+        let cols: Vec<usize> = kept
+            .iter()
+            .flat_map(|&b| (b * 16)..((b + 1) * 16).min(53))
+            .collect();
+        assert_eq!(cols.last(), Some(&52), "the last block is clipped to 53");
+
+        // Fused forward: bitwise the gather kernel on the expanded columns.
+        let x = init::uniform(&mut rng, 7, 19, -1.0, 1.0);
+        let mut fused = Matrix::default();
+        layer.forward_act_into(&x, &plan, Activation::Relu, &mut fused);
+        let mut reference = Matrix::default();
+        gemm::gather_cols_gemm_bias_act_into(
+            &x,
+            layer.weight(),
+            &cols,
+            layer.bias(),
+            plan.scale(),
+            Activation::Relu,
+            &mut RowCompactScratch::default(),
+            &mut reference,
+        )
+        .unwrap();
+        assert_eq!(fused, reference);
+
+        // Backward against the masked-dense reference.
+        let dy = init::uniform(&mut rng, 7, 53, -1.0, 1.0);
+        let dx = layer.backward(&dy);
+        let mult = plan.column_multiplier(53);
+        let wmask = Matrix::from_fn(19, 53, |_, j| if mult[j] == 0.0 { 0.0 } else { 1.0 });
+        let (dw_ref, dx_ref) = masked_dense_backward(&layer, &x, &dy, &mult, &wmask);
+        assert!(tensor::approx_eq_slice(
+            layer.weight_grad().as_slice(),
+            dw_ref.as_slice(),
+            1e-3
+        ));
+        assert!(tensor::approx_eq_slice(
+            dx.as_slice(),
+            dx_ref.as_slice(),
+            1e-3
+        ));
+    }
+
+    #[test]
+    fn ragged_tile_plan_backward_matches_masked_dense() {
+        // A 19x53 weight at tile 16 is a ragged 2x4 tile grid.
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut layer = Linear::new(&mut rng, 19, 53);
+        let plan = tile_plan(&layer, 2, 1, 16);
+        let (kept, grid) = plan.kept_tiles().unwrap();
+        assert_eq!(grid.total_tiles(), 8);
+        let wmask = tile_mask(kept, grid);
+        let x = init::uniform(&mut rng, 7, 19, -1.0, 1.0);
+        let _ = layer.forward(&x, &plan);
+        let dy = init::uniform(&mut rng, 7, 53, -1.0, 1.0);
+        let dx = layer.backward(&dy);
+        let mult = vec![plan.scale(); 53];
+        let (dw_ref, dx_ref) = masked_dense_backward(&layer, &x, &dy, &mult, &wmask);
+        assert!(tensor::approx_eq_slice(
+            layer.weight_grad().as_slice(),
+            dw_ref.as_slice(),
+            1e-3
+        ));
+        assert!(tensor::approx_eq_slice(
+            dx.as_slice(),
+            dx_ref.as_slice(),
+            1e-3
+        ));
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! GEMM kernels: dense references and the compacted variants that actually
-//! skip dropped rows / tiles.
+//! skip dropped output columns and inner indices.
 //!
 //! The paper's central observation is that conventional dropout cannot shrink
 //! the GEMM because the dropped positions are irregular; the Row-based and
 //! Tile-based patterns make the dropped positions *predictable*, so the kernel
 //! can build compact operand matrices and multiply those instead. The CPU
-//! equivalents here are [`row_compact_gemm`] and [`tile_compact_gemm`]; they
-//! are validated against the dense kernels by unit and property tests.
+//! equivalent here is the column gather ([`gather_cols_gemm_into`], behind
+//! [`row_compact_gemm`]): it packs the kept output columns of `W` and runs
+//! the dense micro-kernel over the packed panel. Every family that keeps
+//! whole output neurons (row, N:M, and block dropout expanded to its kept
+//! columns) runs through it. Tile dropout runs the dense kernel over a
+//! tile-masked weight panel with the [`Epilogue::ScaledBias`] write-back;
+//! [`tile_masked_gemm_reference`] is its naive reference. The kernels are
+//! validated against the dense ones by unit and property tests.
 //!
 //! # Kernel architecture
 //!
 //! Every production kernel is built from slice-based packed micro-kernels
-//! ([`axpy`], [`axpy4`], [`dot`]) that dispatch through [`crate::simd`] to
+//! (`axpy`, `axpy4`, `dot`) that dispatch through [`crate::simd`] to
 //! runtime-detected vector kernels (AVX2/AVX-512/NEON, scalar fallback —
 //! bitwise identical at every level, see the `simd` module docs): the
 //! inner loops never touch the bounds-checked `(i, j)` `Index` operator and
@@ -94,12 +100,11 @@ fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3:
 }
 
 /// Dot product with eight independent accumulator lanes so the reduction
-/// vectorises; the building block of [`gemm_a_bt`], public because the
-/// tile-compacted backward pass accumulates per-tile slices with it.
-/// Dispatches to the active [`crate::simd`] kernel, which preserves the
-/// 8-lane accumulation order bitwise.
+/// vectorises; the building block of [`gemm_a_bt`]. Dispatches to the
+/// active [`crate::simd`] kernel, which preserves the 8-lane accumulation
+/// order bitwise.
 #[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
+fn dot(x: &[f32], y: &[f32]) -> f32 {
     simd::dot(x, y)
 }
 
@@ -581,12 +586,12 @@ pub fn nm_compact_gemm(
 
 /// Reusable gather buffers for the backward passes of the column-gather
 /// compacted schemes: the gathered (and gradient-scaled) output-gradient
-/// panel, the gathered weight panel and the compact weight-gradient product.
+/// panel, and one `in × kept` panel that holds the gathered weight columns
+/// for `dX` and then the compact weight-gradient product for `dW`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GatherColsScratch {
     g_kept: Matrix,
-    w_kept: Matrix,
-    compact: Matrix,
+    panel: Matrix,
 }
 
 /// Gathers the kept columns of `g`, scaled by `scale`, into `dst`.
@@ -645,14 +650,12 @@ fn at_b_from_gathered(
     scratch: &mut GatherColsScratch,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
-    let GatherColsScratch {
-        g_kept, compact, ..
-    } = scratch;
-    gemm_at_b_into(x, g_kept, compact)?;
+    let GatherColsScratch { g_kept, panel } = scratch;
+    gemm_at_b_into(x, g_kept, panel)?;
     let k = x.cols();
     out.resize(k, n);
     for r in 0..k {
-        let src = compact.row(r);
+        let src = panel.row(r);
         let dst = out.row_mut(r);
         for (c, &j) in kept_cols.iter().enumerate() {
             dst[j] = src[c];
@@ -670,9 +673,9 @@ fn a_bt_from_gathered(
     scratch: &mut GatherColsScratch,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
-    let GatherColsScratch { g_kept, w_kept, .. } = scratch;
-    pack_cols(w, kept_cols, w_kept);
-    gemm_a_bt_into(g_kept, w_kept, out)
+    let GatherColsScratch { g_kept, panel } = scratch;
+    pack_cols(w, kept_cols, panel);
+    gemm_a_bt_into(g_kept, panel, out)
 }
 
 /// Input-gradient form of the column-gather compacted backward pass:
@@ -744,8 +747,10 @@ pub fn gather_cols_backward_into(
     }
     check_kept_cols(kept_cols, g.cols())?;
     gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    at_b_from_gathered(x, g.cols(), kept_cols, scratch, dw_out)?;
-    a_bt_from_gathered(w, kept_cols, scratch, dx_out)
+    // dX first: the weight panel it packs is dead afterwards, so the dW
+    // product reuses its buffer.
+    a_bt_from_gathered(w, kept_cols, scratch, dx_out)?;
+    at_b_from_gathered(x, g.cols(), kept_cols, scratch, dw_out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1052,372 +1057,6 @@ pub fn row_compact_gemm(
     Ok(out)
 }
 
-/// Half-open `(weight_rows, weight_cols)` region covered by one kept tile.
-type TileBounds = (Range<usize>, Range<usize>);
-
-/// Resolves the kept tiles of a grid into `(row_range, col_range)` bounds.
-fn tile_bounds_list(
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-) -> Result<Vec<TileBounds>, GemmError> {
-    if tile == 0 {
-        return Err(GemmError::new("tile size must be positive"));
-    }
-    let tiles_per_row = w.cols().div_ceil(tile);
-    let tiles_per_col = w.rows().div_ceil(tile);
-    let total_tiles = tiles_per_row * tiles_per_col;
-    if let Some(&bad) = kept_tiles.iter().find(|&&t| t >= total_tiles) {
-        return Err(GemmError::new(format!(
-            "tile index {bad} out of bounds for a {tiles_per_col}x{tiles_per_row} tile grid"
-        )));
-    }
-    Ok(kept_tiles
-        .iter()
-        .map(|&t| {
-            let tile_row = t / tiles_per_row; // which block of W rows (input features)
-            let tile_col = t % tiles_per_row; // which block of W cols (output features)
-            let k_start = tile_row * tile;
-            let k_end = (k_start + tile).min(w.rows());
-            let j_start = tile_col * tile;
-            let j_end = (j_start + tile).min(w.cols());
-            (k_start..k_end, j_start..j_end)
-        })
-        .collect())
-}
-
-/// Per-row-chunk kernel for the tile-compacted GEMM: each output row visits
-/// only the kept tiles, accumulating `tile`-wide slice panels.
-fn tile_rows_kernel(
-    a: &Matrix,
-    w: &Matrix,
-    bounds: &[(Range<usize>, Range<usize>)],
-    rows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let n = w.cols();
-    for (local, i) in rows.enumerate() {
-        let arow = a.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for (kr, jr) in bounds {
-            let cslice = &mut crow[jr.clone()];
-            let apanel = &arow[kr.clone()];
-            let mut quads = apanel.chunks_exact(4);
-            let mut p = kr.start;
-            for quad in &mut quads {
-                axpy4(
-                    cslice,
-                    [quad[0], quad[1], quad[2], quad[3]],
-                    &w.row(p)[jr.clone()],
-                    &w.row(p + 1)[jr.clone()],
-                    &w.row(p + 2)[jr.clone()],
-                    &w.row(p + 3)[jr.clone()],
-                );
-                p += 4;
-            }
-            for &alpha in quads.remainder() {
-                axpy(cslice, alpha, &w.row(p)[jr.clone()]);
-                p += 1;
-            }
-        }
-    }
-}
-
-/// Tile-compacted GEMM used by the Tile-based Dropout Pattern, writing into
-/// `out`.
-///
-/// See [`tile_compact_gemm`] for the semantics.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `tile == 0`, or
-/// a tile index is outside the tile grid.
-pub fn tile_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let bounds = tile_bounds_list(w, kept_tiles, tile)?;
-    let m = a.rows();
-    let n = w.cols();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        tile_rows_kernel(a, w, &bounds, rows, chunk);
-    });
-    Ok(())
-}
-
-/// Tile-compacted GEMM used by the Tile-based Dropout Pattern.
-///
-/// `kept_tiles` lists the linear indices (row-major over the tile grid of the
-/// weight matrix `W`, tile size `tile × tile`) that are *kept*; every other
-/// tile of `W` is treated as zero. Only the kept tiles contribute to the
-/// product, which is what the GPU kernel achieves by fetching only those
-/// tiles into shared memory.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `tile == 0`, or a
-/// tile index is outside the tile grid.
-pub fn tile_compact_gemm(
-    a: &Matrix,
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-) -> Result<Matrix, GemmError> {
-    let mut out = Matrix::zeros(0, 0);
-    tile_compact_gemm_into(a, w, kept_tiles, tile, &mut out)?;
-    Ok(out)
-}
-
-/// Resolves kept block indices into clipped half-open output-column ranges
-/// of a `block`-wide grid over `n` output columns.
-fn block_col_ranges(
-    n: usize,
-    kept_blocks: &[usize],
-    block: usize,
-) -> Result<Vec<Range<usize>>, GemmError> {
-    if block == 0 {
-        return Err(GemmError::new("block width must be positive"));
-    }
-    let total = n.div_ceil(block);
-    if let Some(&bad) = kept_blocks.iter().find(|&&b| b >= total) {
-        return Err(GemmError::new(format!(
-            "block index {bad} out of bounds for {total} blocks of width {block}"
-        )));
-    }
-    Ok(kept_blocks
-        .iter()
-        .map(|&b| (b * block)..((b + 1) * block).min(n))
-        .collect())
-}
-
-/// Per-row-chunk kernel for the block-compacted GEMM: each output row
-/// streams the full K panel of `A` once per kept block, accumulating into
-/// the block's contiguous output slice — no gather, no pack, pure slice
-/// panels (the CPU analogue of perfectly coalesced column-strip fetches).
-fn block_rows_kernel(
-    a: &Matrix,
-    w: &Matrix,
-    ranges: &[Range<usize>],
-    rows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let n = w.cols();
-    for (local, i) in rows.enumerate() {
-        let arow = a.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for jr in ranges {
-            let cslice = &mut crow[jr.clone()];
-            let mut quads = arow.chunks_exact(4);
-            let mut p = 0;
-            for quad in &mut quads {
-                axpy4(
-                    cslice,
-                    [quad[0], quad[1], quad[2], quad[3]],
-                    &w.row(p)[jr.clone()],
-                    &w.row(p + 1)[jr.clone()],
-                    &w.row(p + 2)[jr.clone()],
-                    &w.row(p + 3)[jr.clone()],
-                );
-                p += 4;
-            }
-            for &alpha in quads.remainder() {
-                axpy(cslice, alpha, &w.row(p)[jr.clone()]);
-                p += 1;
-            }
-        }
-    }
-}
-
-/// Block-compacted GEMM for structured unit dropout, writing into `out`.
-///
-/// `kept_blocks` lists the surviving contiguous `block`-wide groups of
-/// output columns; only those column strips of `W` participate and the rest
-/// of the `(batch, out_features)` output stays zero. Because the strips are
-/// contiguous, the kernel streams slice panels directly — no gather or
-/// packing step at all, which is what makes block dropout the
-/// hardware-cheapest member of the structured family.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `block == 0`,
-/// or a block index is out of bounds.
-pub fn block_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let ranges = block_col_ranges(w.cols(), kept_blocks, block)?;
-    let m = a.rows();
-    let n = w.cols();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        block_rows_kernel(a, w, &ranges, rows, chunk);
-    });
-    Ok(())
-}
-
-/// Allocating variant of [`block_compact_gemm_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the same conditions.
-pub fn block_compact_gemm(
-    a: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-) -> Result<Matrix, GemmError> {
-    let mut out = Matrix::zeros(0, 0);
-    block_compact_gemm_into(a, w, kept_blocks, block, &mut out)?;
-    Ok(out)
-}
-
-/// Per-row-chunk kernel for the block-compacted `C = Xᵀ · (scale·G)`: the
-/// chunk covers rows `p` of `C` and only the kept column strips are
-/// accumulated.
-fn block_at_b_rows_kernel(
-    x: &Matrix,
-    g: &Matrix,
-    ranges: &[Range<usize>],
-    scale: f32,
-    prows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let batch = x.rows();
-    let n = g.cols();
-    let mut i = 0;
-    while i + 4 <= batch {
-        let (x0, x1, x2, x3) = (x.row(i), x.row(i + 1), x.row(i + 2), x.row(i + 3));
-        let (g0, g1, g2, g3) = (g.row(i), g.row(i + 1), g.row(i + 2), g.row(i + 3));
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            let alpha = [x0[p] * scale, x1[p] * scale, x2[p] * scale, x3[p] * scale];
-            for jr in ranges {
-                axpy4(
-                    &mut crow[jr.clone()],
-                    alpha,
-                    &g0[jr.clone()],
-                    &g1[jr.clone()],
-                    &g2[jr.clone()],
-                    &g3[jr.clone()],
-                );
-            }
-        }
-        i += 4;
-    }
-    while i < batch {
-        let xrow = x.row(i);
-        let grow = g.row(i);
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            let alpha = xrow[p] * scale;
-            for jr in ranges {
-                axpy(&mut crow[jr.clone()], alpha, &grow[jr.clone()]);
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Weight-gradient form of the block-compacted backward pass:
-/// `dW = Xᵀ · (scale · G)` restricted to the kept `block`-wide column
-/// strips of `out` (shape `x.cols() × g.cols()`); dropped strips stay
-/// exactly zero and no transpose or mask matrix is materialised.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions disagree, `block == 0`,
-/// or a block index is out of bounds.
-pub fn block_compact_gemm_at_b_into(
-    x: &Matrix,
-    g: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    scale: f32,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    let ranges = block_col_ranges(g.cols(), kept_blocks, block)?;
-    let (k, n) = (x.cols(), g.cols());
-    out.resize(k, n);
-    pool::run_row_chunks(k, n, out.as_mut_slice(), |prows, chunk| {
-        block_at_b_rows_kernel(x, g, &ranges, scale, prows, chunk);
-    });
-    Ok(())
-}
-
-/// Per-row-chunk kernel for the block-compacted `C = (scale·G) · Wᵀ`: row
-/// `i` of `C` accumulates per-block dot products against the kept column
-/// strips of `W`.
-fn block_a_bt_rows_kernel(
-    g: &Matrix,
-    w: &Matrix,
-    ranges: &[Range<usize>],
-    scale: f32,
-    rows: Range<usize>,
-    chunk: &mut [f32],
-) {
-    let n = w.rows();
-    for (local, i) in rows.enumerate() {
-        let grow = g.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for (p, cj) in crow.iter_mut().enumerate() {
-            let wrow = w.row(p);
-            let mut acc = 0.0;
-            for jr in ranges {
-                acc += dot(&grow[jr.clone()], &wrow[jr.clone()]);
-            }
-            *cj = acc * scale;
-        }
-    }
-}
-
-/// Input-gradient form of the block-compacted backward pass:
-/// `dX = (scale · G) · Wᵀ` where only the kept `block`-wide column strips
-/// of `W` contribute — the synapses of dropped blocks are skipped entirely.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if `g.cols() != w.cols()`, `block == 0`, or a
-/// block index is out of bounds.
-pub fn block_compact_gemm_a_bt_into(
-    g: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    scale: f32,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    let ranges = block_col_ranges(g.cols(), kept_blocks, block)?;
-    let (m, n) = (g.rows(), w.rows());
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        block_a_bt_rows_kernel(g, w, &ranges, scale, rows, chunk);
-    });
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Fused whole-layer kernels (GEMM + bias + activation)
 // ---------------------------------------------------------------------------
@@ -1483,23 +1122,43 @@ fn check_bias(bias: &Matrix, n: usize) -> Result<(), GemmError> {
     Ok(())
 }
 
-/// Shared dense epilogue: `chunk[r][j] = act((chunk[r][j] + bias[j]) * mult)`
-/// where `mult` is `mask[j] * scale` when a column mask is given and 1
-/// (skipped entirely) otherwise. Runs inside the pool chunk closure while the
-/// freshly written rows are still cache-hot.
-fn bias_act_epilogue(
-    chunk: &mut [f32],
-    n: usize,
-    bias: &[f32],
-    mask_scale: Option<(&[f32], f32)>,
-    act: Activation,
-) {
-    for row in chunk.chunks_exact_mut(n) {
-        match mask_scale {
-            Some((mask, scale)) => simd::add_bias_mask_scale(row, bias, mask, scale),
-            None => simd::add_bias(row, bias),
+/// The per-column write-back a fused dense kernel applies ahead of its
+/// activation: the one part of the layer epilogue that differs between the
+/// dropout families that run a dense GEMM.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Epilogue<'a> {
+    /// `v + bias[j]`: no dropout.
+    Bias,
+    /// `(v + bias[j]) · mask[j] · scale`: the conventional Bernoulli column
+    /// mask of the paper's Fig. 1(a), folded into the write-back instead of
+    /// a separate elementwise kernel.
+    MaskedBias {
+        /// Per-output-column 0/1 mask (1 = kept), one entry per column.
+        mask: &'a [f32],
+        /// Inverted-dropout scale of the kept columns.
+        scale: f32,
+    },
+    /// `v · scale + bias[j]`: the raw product is scaled *before* the bias
+    /// is added. This is the tile pattern's inverted-dropout scale over a
+    /// tile-masked weight panel and the CRS `K/k` estimator scale over a
+    /// K-sampled product; neither inflates the bias.
+    ScaledBias {
+        /// Multiplier of the raw product.
+        scale: f32,
+    },
+}
+
+impl Epilogue<'_> {
+    /// Applies the write-back to one output row.
+    #[inline]
+    fn apply(self, row: &mut [f32], bias: &[f32]) {
+        match self {
+            Epilogue::Bias => simd::add_bias(row, bias),
+            Epilogue::MaskedBias { mask, scale } => {
+                simd::add_bias_mask_scale(row, bias, mask, scale);
+            }
+            Epilogue::ScaledBias { scale } => simd::scale_add_bias(row, scale, bias),
         }
-        act.apply_slice(row);
     }
 }
 
@@ -1509,7 +1168,8 @@ fn bias_act_epilogue(
 /// — one pass over the output while it is cache-hot, instead of the
 /// GEMM → bias broadcast → activation map chain of separate kernels. Results
 /// are bitwise identical to that chain and thread-invariant like every other
-/// kernel here.
+/// kernel here. [`gemm_epilogue_into`] is the same kernel with the other
+/// write-backs.
 ///
 /// # Errors
 ///
@@ -1522,17 +1182,7 @@ pub fn gemm_bias_act_into(
     act: Activation,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    let m = a.rows();
-    out.resize(m, n);
-    let bl = tune::blocking(m, a.cols(), n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a, w, rows, chunk, bl);
-        bias_act_epilogue(chunk, n, bias.row(0), None, act);
-    });
-    Ok(())
+    gemm_epilogue_into(a, w, bias, Epilogue::Bias, act, out)
 }
 
 /// Allocating variant of [`gemm_bias_act_into`].
@@ -1551,40 +1201,46 @@ pub fn gemm_bias_act(
     Ok(out)
 }
 
-/// Fused dense whole-layer kernel with a per-output-column multiplier folded
-/// into the epilogue: `C = act((A·W + bias) ⊙ (mask · scale))` — the
-/// conventional Bernoulli-masked layer of the paper's Fig. 1(a) as a single
-/// launch (the mask multiply rides in the write-back instead of a separate
-/// elementwise kernel).
+/// Fused dense whole-layer kernel with an explicit write-back,
+/// `C = act(epilogue(A·W, bias))`, writing into `out`: the packed GEMM of
+/// [`blocked_gemm_into`] with `epilogue` and `act` applied to each row chunk
+/// while it is cache-hot. Bitwise identical to the unfused
+/// GEMM → write-back → activation chain and thread-invariant.
 ///
 /// # Errors
 ///
 /// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is not a
-/// `1 × w.cols()` row vector, or `mask.len() != w.cols()`.
-pub fn gemm_bias_act_masked_into(
+/// `1 × w.cols()` row vector, or a [`Epilogue::MaskedBias`] mask does not
+/// have one entry per output column.
+pub fn gemm_epilogue_into(
     a: &Matrix,
     w: &Matrix,
     bias: &Matrix,
-    mask: &[f32],
-    scale: f32,
+    epilogue: Epilogue<'_>,
     act: Activation,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
     check_inner(a, w)?;
     let n = w.cols();
     check_bias(bias, n)?;
-    if mask.len() != n {
-        return Err(GemmError::new(format!(
-            "column mask length {} must match {n} output features",
-            mask.len()
-        )));
+    if let Epilogue::MaskedBias { mask, .. } = epilogue {
+        if mask.len() != n {
+            return Err(GemmError::new(format!(
+                "column mask length {} must match {n} output features",
+                mask.len()
+            )));
+        }
     }
     let m = a.rows();
     out.resize(m, n);
     let bl = tune::blocking(m, a.cols(), n);
+    let brow = bias.row(0);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         dense_rows_kernel(a, w, rows, chunk, bl);
-        bias_act_epilogue(chunk, n, bias.row(0), Some((mask, scale)), act);
+        for row in chunk.chunks_exact_mut(n) {
+            epilogue.apply(row, brow);
+            act.apply_slice(row);
+        }
     });
     Ok(())
 }
@@ -1693,19 +1349,14 @@ pub fn gather_k_gemm_bias_act_into(
     check_kept_k(kept_k, a.cols())?;
     pack_cols(a, kept_k, &mut scratch.a_kept);
     pack_rows(w, kept_k, &mut scratch.w_kept);
-    let m = a.rows();
-    out.resize(m, n);
-    let bl = tune::blocking(m, kept_k.len(), n);
-    let (a_kept, w_kept) = (&scratch.a_kept, &scratch.w_kept);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        dense_rows_kernel(a_kept, w_kept, rows, chunk, bl);
-        let brow = bias.row(0);
-        for row in chunk.chunks_exact_mut(n) {
-            simd::scale_add_bias(row, crs_scale, brow);
-            act.apply_slice(row);
-        }
-    });
-    Ok(())
+    gemm_epilogue_into(
+        &scratch.a_kept,
+        &scratch.w_kept,
+        bias,
+        Epilogue::ScaledBias { scale: crs_scale },
+        act,
+        out,
+    )
 }
 
 /// Fused composed gather-N × gather-K whole-layer kernel: the
@@ -1756,109 +1407,17 @@ pub fn gather_nk_gemm_bias_act_into(
     Ok(())
 }
 
-/// Fused block-compacted whole-layer kernel: the contiguous column strips of
-/// [`block_compact_gemm_into`] with `act((v + bias[j]) · scale)` applied in
-/// the write-back for kept strips and `act(0)` filled elsewhere.
-///
-/// `kept_blocks` must be ascending (which is how every `DropoutPlan`
-/// resolves its kept-block list); unsorted lists are rejected.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, `block == 0`, a block index is out of bounds, or
-/// `kept_blocks` is not strictly ascending.
-#[allow(clippy::too_many_arguments)]
-pub fn block_compact_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_blocks: &[usize],
-    block: usize,
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    if kept_blocks.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(GemmError::new(
-            "kept blocks must be strictly ascending for the fused kernel",
-        ));
-    }
-    let ranges = block_col_ranges(n, kept_blocks, block)?;
-    let m = a.rows();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        block_rows_kernel(a, w, &ranges, rows, chunk);
-        let brow = bias.row(0);
-        for row in chunk.chunks_exact_mut(n) {
-            // Scaled-bias pre-activations over the kept strips, exact zero
-            // over the complement (the ranges are ascending so one forward
-            // walk covers both), then one vectorised activation pass over
-            // the whole row — `act(0)` in dropped strips, same as the
-            // unfused chain.
-            let mut cursor = 0;
-            for jr in &ranges {
-                row[cursor..jr.start].fill(0.0);
-                simd::add_bias_scale(&mut row[jr.clone()], &brow[jr.clone()], scale);
-                cursor = jr.end;
-            }
-            row[cursor..].fill(0.0);
-            act.apply_slice(row);
-        }
-    });
-    Ok(())
-}
-
-/// Fused tile-compacted whole-layer kernel: the kept-tile GEMM of
-/// [`tile_compact_gemm_into`] with the tile path's epilogue
-/// (`act(v · scale + bias[j])` over **every** output column — the tile
-/// pattern adds bias to dropped columns too, matching the unfused
-/// scale → bias broadcast → activation chain bitwise).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, `tile == 0`, or a tile index is outside the tile grid.
-#[allow(clippy::too_many_arguments)]
-pub fn tile_compact_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_tiles: &[usize],
-    tile: usize,
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    let bounds = tile_bounds_list(w, kept_tiles, tile)?;
-    let m = a.rows();
-    out.resize(m, n);
-    pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
-        tile_rows_kernel(a, w, &bounds, rows, chunk);
-        let brow = bias.row(0);
-        for row in chunk.chunks_exact_mut(n) {
-            simd::scale_add_bias(row, scale, brow);
-            act.apply_slice(row);
-        }
-    });
-    Ok(())
-}
-
 /// Reference implementation of tile dropout through explicit masking.
 ///
 /// Builds the full masked weight matrix (kept tiles preserved, dropped tiles
 /// zeroed) and multiplies densely — the slow path that conventional dropout
-/// is stuck with. Used to validate [`tile_compact_gemm`].
+/// is stuck with, through the naive kernel. The tile path's dense GEMM over
+/// a tile-masked panel is validated against it.
 ///
 /// # Errors
 ///
-/// Returns a [`GemmError`] if the inner dimensions disagree or `tile == 0`.
+/// Returns a [`GemmError`] if the inner dimensions disagree, `tile == 0`, or
+/// a tile index is outside the tile grid.
 pub fn tile_masked_gemm_reference(
     a: &Matrix,
     w: &Matrix,
@@ -1869,6 +1428,12 @@ pub fn tile_masked_gemm_reference(
         return Err(GemmError::new("tile size must be positive"));
     }
     let tiles_per_row = w.cols().div_ceil(tile);
+    let total_tiles = tiles_per_row * w.rows().div_ceil(tile);
+    if let Some(&bad) = kept_tiles.iter().find(|&&t| t >= total_tiles) {
+        return Err(GemmError::new(format!(
+            "tile index {bad} out of bounds for a grid of {total_tiles} tiles"
+        )));
+    }
     let mut masked = Matrix::zeros(w.rows(), w.cols());
     for &t in kept_tiles {
         let tile_row = t / tiles_per_row;
@@ -2079,6 +1644,36 @@ mod tests {
         assert_eq!(out_ptr, out.as_slice().as_ptr());
     }
 
+    /// The tile path's weight operand: `w` with every dropped tile of the
+    /// `tile`-wide grid zeroed.
+    fn tile_masked_panel(w: &Matrix, kept: &[usize], tile: usize) -> Matrix {
+        let tiles_per_row = w.cols().div_ceil(tile);
+        Matrix::from_fn(w.rows(), w.cols(), |p, j| {
+            let t = (p / tile) * tiles_per_row + j / tile;
+            if kept.contains(&t) {
+                w[(p, j)]
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// The tile path's forward GEMM with a zero bias and unit scale: the
+    /// dense kernel over the tile-masked panel with the tile write-back.
+    fn tile_panel_gemm(a: &Matrix, w: &Matrix, kept: &[usize], tile: usize) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        gemm_epilogue_into(
+            a,
+            &tile_masked_panel(w, kept, tile),
+            &Matrix::zeros(1, w.cols()),
+            Epilogue::ScaledBias { scale: 1.0 },
+            Activation::Identity,
+            &mut out,
+        )
+        .unwrap();
+        out
+    }
+
     #[test]
     fn tile_compact_matches_masked_reference() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -2086,7 +1681,7 @@ mod tests {
         let w = random_matrix(&mut rng, 12, 10);
         let tile = 4;
         let kept = vec![0, 2, 5, 7];
-        let compact = tile_compact_gemm(&a, &w, &kept, tile).unwrap();
+        let compact = tile_panel_gemm(&a, &w, &kept, tile);
         let reference = tile_masked_gemm_reference(&a, &w, &kept, tile).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2102,20 +1697,24 @@ mod tests {
         let w = random_matrix(&mut rng, 8, 8);
         let tile = 4;
         let all: Vec<usize> = (0..4).collect();
-        let compact = tile_compact_gemm(&a, &w, &all, tile).unwrap();
         let dense = naive_gemm(&a, &w).unwrap();
-        assert!(crate::approx_eq_slice(
-            compact.as_slice(),
-            dense.as_slice(),
-            1e-4
-        ));
+        for compact in [
+            tile_panel_gemm(&a, &w, &all, tile),
+            tile_masked_gemm_reference(&a, &w, &all, tile).unwrap(),
+        ] {
+            assert!(crate::approx_eq_slice(
+                compact.as_slice(),
+                dense.as_slice(),
+                1e-4
+            ));
+        }
     }
 
     #[test]
     fn tile_compact_rejects_zero_tile_size() {
         let a = Matrix::zeros(4, 4);
         let w = Matrix::zeros(4, 4);
-        assert!(tile_compact_gemm(&a, &w, &[0], 0).is_err());
+        assert!(tile_masked_gemm_reference(&a, &w, &[0], 0).is_err());
     }
 
     #[test]
@@ -2123,7 +1722,7 @@ mod tests {
         let a = Matrix::zeros(4, 4);
         let w = Matrix::zeros(4, 4);
         // 4x4 weight with tile 4 has exactly one tile (index 0).
-        assert!(tile_compact_gemm(&a, &w, &[1], 4).is_err());
+        assert!(tile_masked_gemm_reference(&a, &w, &[1], 4).is_err());
     }
 
     #[test]
@@ -2133,7 +1732,7 @@ mod tests {
         let w = random_matrix(&mut rng, 7, 9);
         let tile = 4; // 2x3 tile grid with ragged edges
         let kept = vec![0, 3, 5];
-        let compact = tile_compact_gemm(&a, &w, &kept, tile).unwrap();
+        let compact = tile_panel_gemm(&a, &w, &kept, tile);
         let reference = tile_masked_gemm_reference(&a, &w, &kept, tile).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2322,14 +1921,23 @@ mod tests {
         .is_err());
     }
 
+    /// Kept output columns of a `block`-wide block plan over `n` columns:
+    /// the gather kernels' kept set, the last block clipped to `n`.
+    fn block_cols(kept_blocks: &[usize], block: usize, n: usize) -> Vec<usize> {
+        kept_blocks
+            .iter()
+            .flat_map(|&b| (b * block)..((b + 1) * block).min(n))
+            .collect()
+    }
+
     #[test]
     fn block_compact_matches_column_masked_dense() {
         let mut rng = StdRng::seed_from_u64(61);
         let a = random_matrix(&mut rng, 5, 7);
         let w = random_matrix(&mut rng, 7, 10); // 3 blocks of 4 (last ragged)
-        let kept_blocks = vec![0, 2];
-        let kept_cols: Vec<usize> = (0..4).chain(8..10).collect();
-        let compact = block_compact_gemm(&a, &w, &kept_blocks, 4).unwrap();
+        let kept_cols = block_cols(&[0, 2], 4, 10);
+        assert_eq!(kept_cols, (0..4).chain(8..10).collect::<Vec<_>>());
+        let compact = row_compact_gemm(&a, &w, &kept_cols).unwrap();
         let reference = col_masked_reference(&a, &w, &kept_cols);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2343,7 +1951,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(63);
         let a = random_matrix(&mut rng, 6, 8);
         let w = random_matrix(&mut rng, 8, 12);
-        let compact = block_compact_gemm(&a, &w, &[0, 1, 2], 4).unwrap();
+        let compact = row_compact_gemm(&a, &w, &block_cols(&[0, 1, 2], 4, 12)).unwrap();
         let dense = naive_gemm(&a, &w).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -2354,10 +1962,12 @@ mod tests {
 
     #[test]
     fn block_compact_rejects_bad_parameters() {
+        // A block index past the grid expands to columns past the output
+        // width, which the gather rejects (a zero block width is rejected
+        // where block plans are built, in `BlockUnit::new`).
         let a = Matrix::zeros(2, 4);
         let w = Matrix::zeros(4, 8);
-        assert!(block_compact_gemm(&a, &w, &[0], 0).is_err());
-        assert!(block_compact_gemm(&a, &w, &[2], 4).is_err()); // 2 blocks only
+        assert!(row_compact_gemm(&a, &w, &block_cols(&[2], 4, 12)).is_err()); // 2 blocks only
     }
 
     #[test]
@@ -2366,8 +1976,8 @@ mod tests {
         let x = random_matrix(&mut rng, 6, 5); // (batch, in)
         let g = random_matrix(&mut rng, 6, 11); // (batch, out): 3 blocks of 4
         let w = random_matrix(&mut rng, 5, 11); // (in, out)
-        let kept_blocks = vec![1, 2];
-        let kept_cols: Vec<usize> = (4..11).collect();
+        let kept_cols = block_cols(&[1, 2], 4, 11);
+        assert_eq!(kept_cols, (4..11).collect::<Vec<_>>());
         let scale = 1.75f32;
 
         let mut g_masked = Matrix::zeros(6, 11);
@@ -2377,19 +1987,28 @@ mod tests {
             }
         }
 
-        let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
+        let mut scratch = GatherColsScratch::default();
         let mut dw = Matrix::zeros(0, 0);
-        block_compact_gemm_at_b_into(&x, &g, &kept_blocks, 4, scale, &mut dw).unwrap();
+        let mut dx = Matrix::zeros(0, 0);
+        gather_cols_backward_into(
+            &x,
+            &g,
+            &w,
+            &kept_cols,
+            scale,
+            &mut scratch,
+            &mut dw,
+            &mut dx,
+        )
+        .unwrap();
+        let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
         assert_eq!(dw.shape(), (5, 11));
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
             dw_ref.as_slice(),
             1e-3
         ));
-
         let dx_ref = naive_gemm(&g_masked, &w.transpose()).unwrap();
-        let mut dx = Matrix::zeros(0, 0);
-        block_compact_gemm_a_bt_into(&g, &w, &kept_blocks, 4, scale, &mut dx).unwrap();
         assert_eq!(dx.shape(), (6, 5));
         assert!(crate::approx_eq_slice(
             dx.as_slice(),
@@ -2401,8 +2020,9 @@ mod tests {
     #[test]
     fn block_backward_with_ragged_batch_exercises_scalar_tail() {
         // Batch sizes off the 4-row panel exercise the scalar tail of the
-        // unrolled at_b kernel.
+        // unrolled at_b kernel under a block's contiguous kept columns.
         let mut rng = StdRng::seed_from_u64(71);
+        let kept_cols = block_cols(&[0], 4, 8);
         for batch in [1usize, 2, 3, 5] {
             let x = random_matrix(&mut rng, batch, 4);
             let g = random_matrix(&mut rng, batch, 8);
@@ -2414,7 +2034,8 @@ mod tests {
             }
             let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
             let mut dw = Matrix::zeros(0, 0);
-            block_compact_gemm_at_b_into(&x, &g, &[0], 4, 1.0, &mut dw).unwrap();
+            let mut scratch = GatherColsScratch::default();
+            gather_cols_gemm_at_b_into(&x, &g, &kept_cols, 1.0, &mut scratch, &mut dw).unwrap();
             assert!(
                 crate::approx_eq_slice(dw.as_slice(), dw_ref.as_slice(), 1e-4),
                 "batch {batch}"
@@ -2463,7 +2084,8 @@ mod tests {
             }
             reference.map_inplace(|v| act.apply(v));
             let mut fused = Matrix::zeros(0, 0);
-            gemm_bias_act_masked_into(&a, &w, &bias, &mask, scale, act, &mut fused).unwrap();
+            let epilogue = Epilogue::MaskedBias { mask: &mask, scale };
+            gemm_epilogue_into(&a, &w, &bias, epilogue, act, &mut fused).unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2561,46 +2183,32 @@ mod tests {
         let a = random_matrix(&mut rng, 6, 7);
         let w = random_matrix(&mut rng, 7, 11); // 3 blocks of 4, last ragged
         let bias = random_matrix(&mut rng, 1, 11);
-        let kept_blocks = vec![0usize, 2];
+        let kept_cols = block_cols(&[0, 2], 4, 11);
         let scale = 2.0f32;
         for act in ACTIVATIONS {
-            let mut reference = block_compact_gemm(&a, &w, &kept_blocks, 4).unwrap();
+            let mut reference = row_compact_gemm(&a, &w, &kept_cols).unwrap();
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
-                for &b in &kept_blocks {
-                    for j in (b * 4)..((b + 1) * 4).min(11) {
-                        row[j] = (row[j] + bias[(0, j)]) * scale;
-                    }
+                for &j in &kept_cols {
+                    row[j] = (row[j] + bias[(0, j)]) * scale;
                 }
             }
             reference.map_inplace(|v| act.apply(v));
+            let mut scratch = RowCompactScratch::default();
             let mut fused = Matrix::zeros(0, 0);
-            block_compact_gemm_bias_act_into(
+            gather_cols_gemm_bias_act_into(
                 &a,
                 &w,
-                &kept_blocks,
-                4,
+                &kept_cols,
                 &bias,
                 scale,
                 act,
+                &mut scratch,
                 &mut fused,
             )
             .unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
-        // Unsorted kept lists are rejected (the complement walk needs order).
-        let mut out = Matrix::zeros(0, 0);
-        assert!(block_compact_gemm_bias_act_into(
-            &a,
-            &w,
-            &[2, 0],
-            4,
-            &bias,
-            scale,
-            Activation::Relu,
-            &mut out
-        )
-        .is_err());
     }
 
     #[test]
@@ -2609,18 +2217,18 @@ mod tests {
         let a = random_matrix(&mut rng, 5, 8);
         let w = random_matrix(&mut rng, 8, 9); // ragged 2x3 tile grid at tile 4
         let bias = random_matrix(&mut rng, 1, 9);
-        let kept = vec![0usize, 2, 5];
+        let panel = tile_masked_panel(&w, &[0, 2, 5], 4);
         let scale = 2.0f32;
         for act in ACTIVATIONS {
-            // Unfused tile chain: compacted GEMM, scale, bias broadcast over
-            // every column, then the activation.
-            let mut reference = tile_compact_gemm(&a, &w, &kept, 4).unwrap();
+            // Unfused tile chain: GEMM over the masked panel, scale, bias
+            // broadcast over every column, then the activation.
+            let mut reference = blocked_gemm(&a, &panel).unwrap();
             reference.map_inplace(|v| v * scale);
             reference.add_row_broadcast_inplace(&bias).unwrap();
             reference.map_inplace(|v| act.apply(v));
             let mut fused = Matrix::zeros(0, 0);
-            tile_compact_gemm_bias_act_into(&a, &w, &kept, 4, &bias, scale, act, &mut fused)
-                .unwrap();
+            let epilogue = Epilogue::ScaledBias { scale };
+            gemm_epilogue_into(&a, &panel, &bias, epilogue, act, &mut fused).unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2632,16 +2240,12 @@ mod tests {
         let bad_bias = Matrix::zeros(1, 5);
         let mut out = Matrix::zeros(0, 0);
         assert!(gemm_bias_act_into(&a, &w, &bad_bias, Activation::Relu, &mut out).is_err());
-        assert!(gemm_bias_act_masked_into(
-            &a,
-            &w,
-            &Matrix::zeros(1, 4),
-            &[1.0; 3],
-            1.0,
-            Activation::Relu,
-            &mut out
-        )
-        .is_err());
+        let short_mask = Epilogue::MaskedBias {
+            mask: &[1.0; 3],
+            scale: 1.0,
+        };
+        let bias = Matrix::zeros(1, 4);
+        assert!(gemm_epilogue_into(&a, &w, &bias, short_mask, Activation::Relu, &mut out).is_err());
         let mut scratch = RowCompactScratch::default();
         assert!(gather_cols_gemm_bias_act_into(
             &a,

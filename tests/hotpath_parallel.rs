@@ -1,20 +1,66 @@
 //! Integration tests for the allocation-free, multi-threaded training hot
 //! path: parallel-vs-serial kernel equivalence, `plan_into` draw-for-draw
-//! fidelity and buffer recycling, and proof that the per-layer scratch
-//! workspaces are numerically inert.
+//! fidelity and buffer recycling, proof that the per-layer scratch
+//! workspaces are numerically inert, and a count of the heap allocations a
+//! warmed layer step makes.
 
 use approx_dropout::{
     scheme, DropoutPlan, DropoutRate, DropoutScheme, LayerShape, PlanCache, PlanKey, RowPattern,
-    TilePattern,
+    SampledPattern, TileGrid, TilePattern,
 };
 use nn::{Linear, Mlp, MlpConfig, TransformerLm, TransformerLmConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use tensor::{
-    block_compact_gemm, block_compact_gemm_a_bt_into, block_compact_gemm_at_b_into, blocked_gemm,
+    blocked_gemm, gather_cols_backward_into, gather_cols_gemm_bias_act_into,
     gather_k_backward_into, gather_k_gemm_bias_act_into, gather_k_gemm_into, gemm_a_bt, gemm_at_b,
-    init, pool, row_compact_gemm, tile_compact_gemm, GatherKScratch, Matrix,
+    init, pool, row_compact_gemm, Activation, GatherColsScratch, GatherKScratch, Matrix,
+    RowCompactScratch,
 };
+
+/// The system allocator, counting the allocations made on each thread so a
+/// test can assert that a code path allocates nothing on its own thread
+/// (concurrently running tests allocate on theirs).
+struct CountingAlloc;
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// destructor-free thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` makes on the calling thread.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    f();
+    THREAD_ALLOCS.with(Cell::get) - before
+}
 
 /// All global-pool mutation lives in this single test: the pool is
 /// process-wide state and the tests of one binary run concurrently.
@@ -29,16 +75,52 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
     let w2 = init::uniform(&mut rng, 41, 53, -1.0, 1.0);
     let g2 = init::uniform(&mut rng, 53, 53, -1.0, 1.0); // shares b's batch dim and w2's width
     let kept_cols: Vec<usize> = (1..53).step_by(3).collect();
-    let kept_tiles = vec![0, 2, 5, 7, 11]; // 12-tile grid for 41x53 @ tile 16
-
-    let kept_blocks = vec![0, 2, 3]; // 4-block grid for 53 cols @ block 16
+    // A block plan at block 16 over 53 columns keeps blocks {0, 2, 3}: its
+    // expanded kept columns, the last block clipped to the width.
+    let block_cols: Vec<usize> = (0..16).chain(32..53).collect();
     let kept_k: Vec<usize> = (0..53).step_by(2).collect(); // K-gather over a·b's inner dim
     let bias = init::uniform(&mut rng, 1, 41, -0.5, 0.5);
-    let run_kernels = || {
+    // Tile plan over w2's 41x53 weight at tile 16 (a ragged 3x4 grid).
+    let grid = TileGrid::new(41, 53, 16).unwrap();
+    let tile_plan = DropoutPlan::tile(
+        LayerShape::new(41, 53),
+        SampledPattern::from_tile(TilePattern::new(2, 1, 16).unwrap(), &grid),
+        grid,
+    );
+    let tile_bias = init::uniform(&mut rng, 1, 53, -0.5, 0.5);
+    let run_kernels = || -> Vec<(&str, Matrix)> {
+        let mut block_fwd = Matrix::zeros(0, 0);
+        gather_cols_gemm_bias_act_into(
+            &b,
+            &w2,
+            &block_cols,
+            &tile_bias,
+            2.0,
+            Activation::Relu,
+            &mut RowCompactScratch::default(),
+            &mut block_fwd,
+        )
+        .unwrap();
         let mut block_dw = Matrix::zeros(0, 0);
-        block_compact_gemm_at_b_into(&b, &g2, &kept_blocks, 16, 2.0, &mut block_dw).unwrap();
         let mut block_dx = Matrix::zeros(0, 0);
-        block_compact_gemm_a_bt_into(&g2, &w2, &kept_blocks, 16, 2.0, &mut block_dx).unwrap();
+        gather_cols_backward_into(
+            &b,
+            &g2,
+            &w2,
+            &block_cols,
+            2.0,
+            &mut GatherColsScratch::default(),
+            &mut block_dw,
+            &mut block_dx,
+        )
+        .unwrap();
+        // The tile path: dense GEMMs against the layer's tile-masked panel.
+        let mut tile_layer = Linear::from_parameters(w2.clone(), tile_bias.clone());
+        let mut tile_fwd = Matrix::zeros(0, 0);
+        tile_layer.forward_act_into(&b, &tile_plan, Activation::Relu, &mut tile_fwd);
+        let mut tile_dx = Matrix::zeros(0, 0);
+        tile_layer.backward_into(&g2, &mut tile_dx);
+        let tile_dw = tile_layer.weight_grad().clone();
         let mut crs_scratch = GatherKScratch::default();
         let mut crs_fwd = Matrix::zeros(0, 0);
         gather_k_gemm_bias_act_into(
@@ -47,7 +129,7 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
             &kept_k,
             &bias,
             53.0 / kept_k.len() as f32,
-            tensor::Activation::Relu,
+            Activation::Relu,
             &mut crs_scratch,
             &mut crs_fwd,
         )
@@ -65,19 +147,24 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
             &mut crs_dx,
         )
         .unwrap();
-        (
-            blocked_gemm(&a, &b).unwrap(),
-            gemm_at_b(&a, &g).unwrap(),
-            gemm_a_bt(&a, &w2).unwrap(),
-            row_compact_gemm(&b, &w2, &kept_cols).unwrap(),
-            tile_compact_gemm(&b, &w2, &kept_tiles, 16).unwrap(),
-            block_compact_gemm(&b, &w2, &kept_blocks, 16).unwrap(),
-            block_dw,
-            block_dx,
-            crs_fwd,
-            crs_dw,
-            crs_dx,
-        )
+        vec![
+            ("dense GEMM", blocked_gemm(&a, &b).unwrap()),
+            ("AᵀB", gemm_at_b(&a, &g).unwrap()),
+            ("ABᵀ", gemm_a_bt(&a, &w2).unwrap()),
+            (
+                "row-compact",
+                row_compact_gemm(&b, &w2, &kept_cols).unwrap(),
+            ),
+            ("tile forward", tile_fwd),
+            ("tile dW", tile_dw),
+            ("tile dX", tile_dx),
+            ("block-compact forward", block_fwd),
+            ("block-compact AᵀB", block_dw),
+            ("block-compact ABᵀ", block_dx),
+            ("fused K-gather GEMM", crs_fwd),
+            ("K-gather dW", crs_dw),
+            ("K-gather dX", crs_dx),
+        ]
     };
     pool::set_threads(1);
     assert_eq!(pool::threads(), 1);
@@ -85,35 +172,9 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
     pool::set_threads(4);
     assert_eq!(pool::threads(), 4);
     let parallel = run_kernels();
-    assert_eq!(serial.0, parallel.0, "dense GEMM must be thread-invariant");
-    assert_eq!(serial.1, parallel.1, "AᵀB must be thread-invariant");
-    assert_eq!(serial.2, parallel.2, "ABᵀ must be thread-invariant");
-    assert_eq!(serial.3, parallel.3, "row-compact must be thread-invariant");
-    assert_eq!(
-        serial.4, parallel.4,
-        "tile-compact must be thread-invariant"
-    );
-    assert_eq!(
-        serial.5, parallel.5,
-        "block-compact must be thread-invariant"
-    );
-    assert_eq!(
-        serial.6, parallel.6,
-        "block-compact AᵀB must be thread-invariant"
-    );
-    assert_eq!(
-        serial.7, parallel.7,
-        "block-compact ABᵀ must be thread-invariant"
-    );
-    assert_eq!(
-        serial.8, parallel.8,
-        "fused K-gather GEMM must be thread-invariant"
-    );
-    assert_eq!(serial.9, parallel.9, "K-gather dW must be thread-invariant");
-    assert_eq!(
-        serial.10, parallel.10,
-        "K-gather dX must be thread-invariant"
-    );
+    for ((label, serial), (_, parallel)) in serial.iter().zip(&parallel) {
+        assert_eq!(serial, parallel, "{label} must be thread-invariant");
+    }
 
     // Whole-model check: a same-seed training trajectory (batch wide enough
     // to engage the pool) is identical at 1 and 4 threads.
@@ -222,6 +283,11 @@ fn all_schemes() -> Vec<Box<dyn DropoutScheme>> {
         scheme::tile(DropoutRate::new(0.5).unwrap(), 8, 16).unwrap(),
         scheme::nm(2, 4).unwrap(),
         scheme::block_unit(DropoutRate::new(0.5).unwrap(), 8).unwrap(),
+        // Off-grid shapes for the block and tile paths: 5-wide blocks leave
+        // a clipped last block and 4-wide tiles a multi-tile grid on the
+        // layers below.
+        scheme::block_unit(DropoutRate::new(0.5).unwrap(), 5).unwrap(),
+        scheme::tile(DropoutRate::new(0.5).unwrap(), 8, 4).unwrap(),
         scheme::crs(0.5).unwrap(),
         scheme::row_crs(DropoutRate::new(0.5).unwrap(), 8, 0.5).unwrap(),
     ]
@@ -367,7 +433,8 @@ fn linear_workspace_reuse_is_numerically_inert() {
     // Vary the batch size too: workspace buffers must resize correctly.
     let batches = [8usize, 3, 16, 8, 33, 5, 8, 12, 6, 9, 14];
     let scheme_count = schemes.len();
-    for (iteration, &batch) in batches.iter().enumerate() {
+    for iteration in 0..(2 * scheme_count) {
+        let batch = batches[iteration % batches.len()];
         let scheme = &mut schemes[iteration % scheme_count];
         let plan = scheme.plan(&mut plan_rng, shape);
         let x = init::uniform(&mut data_rng, batch, 12, -1.0, 1.0);
@@ -436,6 +503,38 @@ fn backward_into_matches_backward_and_recycles_dx_buffer() {
                 schemes[iteration % scheme_count].label()
             ),
         }
+    }
+}
+
+/// A warmed layer step allocates nothing on the calling thread, for every
+/// plan family: once a layer has run a plan, running it again (the fused
+/// forward into a recycled output, then `backward_into` a recycled `dx`)
+/// makes no heap allocation. Every GEMM here stays below the pool's
+/// parallel threshold, so the whole step runs on this thread.
+#[test]
+fn warmed_linear_step_allocates_nothing_for_every_family() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let pristine = Linear::new(&mut rng, 24, 30);
+    let shape = LayerShape::new(24, 30);
+    let x = init::uniform(&mut rng, 6, 24, -1.0, 1.0);
+    let dy = init::uniform(&mut rng, 6, 30, -1.0, 1.0);
+    let mut plan_rng = StdRng::seed_from_u64(42);
+    for mut scheme in all_schemes() {
+        let plan = scheme.plan(&mut plan_rng, shape);
+        let mut layer = pristine.clone();
+        let mut out = Matrix::default();
+        let mut dx = Matrix::default();
+        let mut step = || {
+            layer.forward_act_into(&x, &plan, Activation::Relu, &mut out);
+            layer.backward_into(&dy, &mut dx);
+        };
+        step();
+        assert_eq!(
+            allocations_in(&mut step),
+            0,
+            "scheme {} allocated on a warmed step",
+            scheme.label()
+        );
     }
 }
 

@@ -7,10 +7,11 @@
 //! case seed so the exact inputs can be reproduced.
 
 use approx_random_dropout::approx_dropout::{
-    search, DropoutRate, PatternDistribution, PatternKind, PatternSampler, RowPattern,
-    SampledPattern, SearchConfig, TileGrid, TilePattern,
+    search, DropoutPlan, DropoutRate, LayerShape, PatternDistribution, PatternKind, PatternSampler,
+    RowPattern, SampledPattern, SearchConfig, TileGrid, TilePattern,
 };
-use approx_random_dropout::tensor::{gemm, init, Matrix};
+use approx_random_dropout::nn::Linear;
+use approx_random_dropout::tensor::{gemm, init, Activation, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,7 +117,9 @@ fn row_compact_gemm_matches_masked_dense() {
     });
 }
 
-/// Tile-compacted GEMM equals the explicitly masked dense reference.
+/// A tile-planned layer forward (a dense GEMM against the tile-masked weight
+/// panel) equals the explicitly masked dense reference, scaled by the plan's
+/// inverted-dropout factor.
 #[test]
 fn tile_compact_gemm_matches_masked_dense() {
     for_each_case(5, |seed, rng| {
@@ -130,8 +133,17 @@ fn tile_compact_gemm_matches_masked_dense() {
         let grid = TileGrid::new(k, n, tile).unwrap();
         let pattern = TilePattern::new(dp, 0, tile).unwrap();
         let kept = pattern.kept_tiles(&grid);
-        let compact = gemm::tile_compact_gemm(&a, &w, &kept, tile).unwrap();
-        let reference = gemm::tile_masked_gemm_reference(&a, &w, &kept, tile).unwrap();
+        let plan = DropoutPlan::tile(
+            LayerShape::new(k, n),
+            SampledPattern::from_tile(pattern, &grid),
+            grid,
+        );
+        let mut layer = Linear::from_parameters(w.clone(), Matrix::zeros(1, n));
+        let mut compact = Matrix::default();
+        layer.forward_act_into(&a, &plan, Activation::Identity, &mut compact);
+        let reference = gemm::tile_masked_gemm_reference(&a, &w, &kept, tile)
+            .unwrap()
+            .scale(plan.scale());
         assert!(
             approx_random_dropout::tensor::approx_eq_slice(
                 compact.as_slice(),
