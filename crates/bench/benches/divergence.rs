@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tensor::{gemm, init, Matrix};
+use tensor::{gemm, init, Matrix, SelectScratch};
 
 const BATCH: usize = 32;
 const DIM: usize = 256;
@@ -52,10 +52,19 @@ fn bench_divergence(c: &mut Criterion) {
     });
     group.bench_function("row_compact_gemm", |b| {
         b.iter(|| {
-            black_box(
-                gemm::row_compact_gemm(black_box(&x), black_box(&w), &kept_idx)
-                    .expect("indices in bounds"),
+            let mut out = Matrix::default();
+            let mut scratch = SelectScratch::default();
+            let kept = Some(kept_idx.as_slice());
+            gemm::select_gemm_into(
+                black_box(&x),
+                black_box(&w),
+                kept,
+                None,
+                &mut scratch,
+                &mut out,
             )
+            .expect("indices in bounds");
+            black_box(out)
         })
     });
     group.finish();

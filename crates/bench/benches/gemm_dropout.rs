@@ -17,7 +17,7 @@ use nn::Linear;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tensor::{gemm, init, Activation, Matrix};
+use tensor::{gemm, init, Activation, Matrix, SelectScratch};
 
 const BATCH: usize = 32;
 const DIM: usize = 256;
@@ -50,10 +50,19 @@ fn bench_gemm_dropout(c: &mut Criterion) {
         let kept_rows = row.kept_rows(DIM);
         group.bench_with_input(BenchmarkId::new("row_compact", dp), &dp, |b, _| {
             b.iter(|| {
-                black_box(
-                    gemm::row_compact_gemm(black_box(&x), black_box(&w), &kept_rows)
-                        .expect("indices in bounds"),
+                let mut out = Matrix::default();
+                let mut scratch = SelectScratch::default();
+                let kept = Some(kept_rows.as_slice());
+                gemm::select_gemm_into(
+                    black_box(&x),
+                    black_box(&w),
+                    kept,
+                    None,
+                    &mut scratch,
+                    &mut out,
                 )
+                .expect("indices in bounds");
+                black_box(out)
             })
         });
 

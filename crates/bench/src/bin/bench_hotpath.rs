@@ -44,8 +44,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use tensor::{
-    blocked_gemm, gemm_a_bt, gemm_bias_act, init, pool, row_compact_gemm, simd, Activation, Matrix,
-    SimdLevel,
+    blocked_gemm, gemm_a_bt, gemm_bias_act, init, pool, select_gemm_into, simd, Activation, Matrix,
+    SelectScratch, SimdLevel,
 };
 
 /// The seed repository's cache-blocked GEMM, kept verbatim as the baseline
@@ -224,7 +224,11 @@ fn main() {
     pool::set_threads(1);
     let kept_cols: Vec<usize> = (0..cfg.n).step_by(2).collect();
     let row_secs = bench(cfg.reps, || {
-        std::hint::black_box(row_compact_gemm(&a, &b, &kept_cols).unwrap());
+        // Fresh buffers per call, like the dense kernel it is compared with.
+        let mut out = Matrix::default();
+        let mut scratch = SelectScratch::default();
+        select_gemm_into(&a, &b, Some(&kept_cols), None, &mut scratch, &mut out).unwrap();
+        std::hint::black_box(out);
     });
     let tile = 32.min(cfg.k).min(cfg.n);
     let grid = TileGrid::new(cfg.k, cfg.n, tile).unwrap();

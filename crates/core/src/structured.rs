@@ -94,7 +94,15 @@ impl StructuredUnits {
 
     /// Re-resolves this buffer as an N:M decision over `out_features`
     /// neurons; `fill` receives the cleared kept-index vector and must push
-    /// the kept neuron indices in ascending order.
+    /// the kept neuron indices in ascending order: exactly `min(n, size)`
+    /// lanes inside every `m`-wide group (a ragged tail group has
+    /// `size < m`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, `n > m`, or the kept lanes do not have that
+    /// group structure (unsorted, repeated, out of bounds, or the wrong
+    /// count in a group).
     pub fn resolve_nm(
         &mut self,
         n: usize,
@@ -106,19 +114,17 @@ impl StructuredUnits {
         self.unit_count = out_features;
         self.kept.clear();
         fill(&mut self.kept);
-        debug_assert!(
-            self.kept.windows(2).all(|w| w[0] < w[1]),
-            "kept lanes must be ascending"
-        );
-        debug_assert!(
-            self.kept.iter().all(|&j| j < out_features),
-            "kept lane out of bounds"
-        );
+        check_nm_structure(&self.kept, n, m, out_features);
     }
 
     /// Re-resolves this buffer as a block decision over
     /// `out_features.div_ceil(block)` blocks; `fill` receives the cleared
     /// kept-index vector and must push kept *block* indices ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kept blocks are not strictly ascending or a block lies
+    /// outside the grid.
     pub fn resolve_block(
         &mut self,
         block: usize,
@@ -130,14 +136,14 @@ impl StructuredUnits {
         self.unit_count = out_features;
         self.kept.clear();
         fill(&mut self.kept);
-        debug_assert!(
+        assert!(
             self.kept.windows(2).all(|w| w[0] < w[1]),
-            "kept blocks must be ascending"
+            "kept blocks must be strictly ascending, got {:?}",
+            self.kept
         );
-        debug_assert!(
-            self.kept.iter().all(|&b| b < total),
-            "kept block out of bounds"
-        );
+        if let Some(&b) = self.kept.iter().find(|&&b| b >= total) {
+            panic!("kept block {b} is outside the grid of {total} blocks");
+        }
     }
 
     /// The family and its parameters.
@@ -190,6 +196,42 @@ impl StructuredUnits {
                 }
             }
         }
+    }
+}
+
+/// Asserts that `kept` has the N:M group structure over `out_features`
+/// neurons: exactly `min(n, group_size)` strictly ascending lanes inside
+/// every `m`-wide group, and no lane past the width.
+fn check_nm_structure(kept: &[usize], n: usize, m: usize, out_features: usize) {
+    assert!(n > 0 && n <= m, "invalid N:M parameters {n}:{m}");
+    let mut it = kept.iter().peekable();
+    let mut start = 0;
+    while start < out_features {
+        let size = m.min(out_features - start);
+        let mut in_group = 0;
+        let mut prev = None;
+        while let Some(&&j) = it.peek() {
+            if j >= start + size {
+                break;
+            }
+            assert!(
+                j >= start && !prev.is_some_and(|p| j <= p),
+                "kept lane {j} breaks the strictly ascending N:M group order"
+            );
+            prev = Some(j);
+            in_group += 1;
+            it.next();
+        }
+        assert_eq!(
+            in_group,
+            n.min(size),
+            "group starting at {start} keeps {in_group} lanes, expected {} for {n}:{m}",
+            n.min(size)
+        );
+        start += size;
+    }
+    if let Some(j) = it.next() {
+        panic!("kept lane {j} is beyond the output width {out_features}");
     }
 }
 
@@ -559,5 +601,100 @@ mod tests {
         let mut neurons = Vec::new();
         units.extend_kept_neurons(&mut neurons);
         assert_eq!(neurons, (0..8).chain(16..20).collect::<Vec<_>>());
+    }
+
+    /// `true` when `f` panics (the panic message still goes to stderr).
+    fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
+        std::panic::catch_unwind(f).is_err()
+    }
+
+    #[test]
+    fn nm_compact_rejects_malformed_group_structure() {
+        let shape = LayerShape::new(4, 8);
+        // Three lanes in the first group of four.
+        assert!(panics(|| {
+            DropoutPlan::nm(shape, 2, 4, vec![0, 1, 2, 4, 6]);
+        }));
+        // Unsorted lanes inside a group.
+        assert!(panics(|| {
+            DropoutPlan::nm(shape, 2, 4, vec![3, 1, 4, 6]);
+        }));
+        // A repeated lane.
+        assert!(panics(|| {
+            DropoutPlan::nm(shape, 2, 4, vec![1, 1, 4, 6]);
+        }));
+        // Lane past the output width.
+        assert!(panics(|| {
+            DropoutPlan::nm(shape, 2, 4, vec![1, 3, 4, 8]);
+        }));
+        // Invalid N:M parameters.
+        assert!(panics(|| {
+            DropoutPlan::nm(shape, 0, 4, vec![]);
+        }));
+        // Correct structure passes, ragged tail group included (3:4 over 10
+        // columns keeps min(3, 2) = 2 lanes of the tail group {8, 9}).
+        let plan = DropoutPlan::nm(shape, 2, 4, vec![0, 1, 4, 5]);
+        assert_eq!(plan.nm_lanes().unwrap().0, &[0, 1, 4, 5]);
+        DropoutPlan::nm(LayerShape::new(4, 10), 3, 4, vec![0, 2, 3, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn fused_nm_validates_structure_and_matches_gather() {
+        // A validated N:M plan's lanes run through the output selection
+        // like any kept-column set: the fused kernel equals the unfused
+        // select → epilogue → activation chain bitwise.
+        let mut rng = StdRng::seed_from_u64(87);
+        let plan = NmSparsity::new(2, 4)
+            .unwrap()
+            .plan(&mut rng, LayerShape::new(6, 8));
+        let (kept, _, _) = plan.nm_lanes().unwrap();
+        let a = tensor::init::uniform(&mut rng, 5, 6, -1.0, 1.0);
+        let w = tensor::init::uniform(&mut rng, 6, 8, -1.0, 1.0);
+        let bias = tensor::init::uniform(&mut rng, 1, 8, -1.0, 1.0);
+        let mut scratch = tensor::SelectScratch::default();
+        let mut fused = tensor::Matrix::default();
+        tensor::select_gemm_bias_act_into(
+            &a,
+            &w,
+            Some(kept),
+            None,
+            &bias,
+            1.0,
+            plan.scale(),
+            tensor::Activation::Relu,
+            &mut scratch,
+            &mut fused,
+        )
+        .unwrap();
+        let mut reference = tensor::Matrix::default();
+        tensor::select_gemm_into(&a, &w, Some(kept), None, &mut scratch, &mut reference).unwrap();
+        for i in 0..reference.rows() {
+            let row = reference.row_mut(i);
+            for &j in kept {
+                row[j] = (row[j] + bias[(0, j)]) * plan.scale();
+            }
+            tensor::Activation::Relu.apply_slice(row);
+        }
+        assert_eq!(fused, reference);
+        // Malformed group structure is rejected where the plan is built.
+        assert!(panics(|| {
+            DropoutPlan::nm(LayerShape::new(6, 8), 2, 4, vec![0, 1, 2, 4]);
+        }));
+    }
+
+    #[test]
+    fn block_plan_rejects_repeated_unsorted_and_out_of_grid_blocks() {
+        // 32 outputs at block 8 are a grid of four blocks.
+        let shape = LayerShape::new(8, 32);
+        for kept in [vec![0, 0, 2], vec![2, 0], vec![0, 2, 9], vec![4]] {
+            assert!(
+                panics(|| {
+                    DropoutPlan::block_unit(shape, 8, kept.clone(), 2.0, 0.5);
+                }),
+                "{kept:?} must be rejected"
+            );
+        }
+        let plan = DropoutPlan::block_unit(shape, 8, vec![0, 2, 3], 2.0, 0.5);
+        assert_eq!(plan.kept_unit_blocks().unwrap().0, &[0, 2, 3]);
     }
 }

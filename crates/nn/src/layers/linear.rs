@@ -6,32 +6,31 @@
 //! crate that maps plan fields to kernels — and both the forward and the
 //! backward pass dispatch on that classification:
 //!
-//! * [`ExecPath::Gather`] — kept output neurons (the Row-based Dropout
-//!   Pattern, N:M structured sparsity with the group structure validated,
-//!   and block-structured unit dropout with its kept blocks expanded into
-//!   kept columns, the last block clipped to the layer width): the
-//!   column-gather compacted kernels of `tensor::gemm` pack the surviving
-//!   columns of `W`, run the dense micro-kernel over the packed panel and
-//!   scale by the plan's inverted-dropout factor;
+//! * [`ExecPath::Select`] — one selection per GEMM axis, run by the
+//!   selection kernels of `tensor::gemm`: they pack the selected panel, run
+//!   the dense micro-kernel over it and scatter the result back. The N axis
+//!   selects kept output neurons: the Row-based Dropout Pattern, N:M
+//!   structured sparsity (its group structure validated where the plan is
+//!   built), and block-structured unit dropout with its kept blocks
+//!   expanded into kept columns, the last block clipped to the layer width.
+//!   The K axis selects the kept inner products of column-row sampling
+//!   (CRS), whose `K/k` estimator scale corrects the raw product before the
+//!   bias. A row×CRS plan selects both axes in the same kernel call, so the
+//!   two speedups multiply;
 //! * [`ExecPath::Tiles`] — kept weight tiles of the Tile-based Dropout
 //!   Pattern: a dense GEMM against the tile-masked weight panel `W ⊙ M`,
 //!   built once per forward and reused for `dX` in backward. The CPU does
 //!   the full dense product here; the gpu-sim timing model still prices
 //!   tile (and block) dropout as compaction;
-//! * [`ExecPath::CrsK`] — K-dimension sampled GEMM (column-row sampling):
-//!   only the kept inner products run and the `K/k` estimator scale corrects
-//!   the raw product before the bias;
-//! * [`ExecPath::GatherCrs`] — the composed gather-N × gather-K call: the
-//!   dropout plan compacts output neurons while CRS compacts the inner
-//!   dimension in the **same** kernel, so the two speedups multiply;
-//! * [`ExecPath::Dense`] — dense GEMM, with
+//! * [`ExecPath::DenseMasked`] / [`ExecPath::Dense`] — dense GEMM, with
 //!   [`DropoutPlan::apply_mask`] applying the conventional Bernoulli mask
 //!   (a no-op for the identity plan) — the baseline of the paper,
 //!   Fig. 1(a).
 //!
 //! The layer never inspects *which* scheme produced the plan: a new pattern
 //! family only needs to populate the plan fields it uses and, if it implies
-//! a new kernel shape, add one `ExecPath` arm here.
+//! a new kernel shape, add one `ExecPath` arm here; a family that keeps a
+//! subset of output neurons or inner products only needs to say which.
 //!
 //! Because dropped outputs are exactly zero and ReLU is positively
 //! homogeneous, applying the pattern to the pre-activation `Z` is
@@ -41,9 +40,7 @@
 use crate::optimizer::Sgd;
 use approx_dropout::{Activation, DropoutPlan, TileGrid};
 use rand::Rng;
-use tensor::{
-    gemm, init, simd, Epilogue, GatherColsScratch, GatherKScratch, Matrix, RowCompactScratch,
-};
+use tensor::{gemm, init, simd, Epilogue, Matrix, SelectScratch};
 
 /// The execution strategy a [`DropoutPlan`] implies for a fully connected
 /// layer — the per-variant dispatch extracted into one place so forward and
@@ -59,14 +56,16 @@ enum ExecPath<'p> {
         /// Per-output-neuron 0/1 mask (1 = kept).
         mask: &'p [f32],
     },
-    /// Column-gather compaction over kept output neurons; `nm` carries the
-    /// `(n, m)` group parameters when the plan is an N:M plan (validated by
-    /// the kernel).
-    Gather {
-        /// Kept output-neuron indices, ascending.
-        kept: &'p [usize],
-        /// `(n, m)` for N:M plans, `None` for row and block plans.
-        nm: Option<(usize, usize)>,
+    /// Selection GEMM: kept output neurons on the N axis and kept inner
+    /// products on the K axis, `None` keeping a whole axis (never both).
+    Select {
+        /// Kept output-neuron indices, strictly ascending.
+        n: Option<&'p [usize]>,
+        /// Kept inner-dimension indices, strictly ascending.
+        k: Option<&'p [usize]>,
+        /// The `K/k` unbiasedness scale correcting the raw product (1 when
+        /// `k` is `None`).
+        k_scale: f32,
     },
     /// Dense GEMM against the tile-masked weight panel of the Tile-based
     /// Dropout Pattern.
@@ -76,68 +75,37 @@ enum ExecPath<'p> {
         /// The tile grid the indices resolve against.
         grid: &'p TileGrid,
     },
-    /// K-dimension sampled GEMM (CRS): only the kept inner-product indices
-    /// run; the output stays full-width dense.
-    CrsK {
-        /// Kept inner-dimension indices, ascending.
-        kept_k: &'p [usize],
-        /// The `K/k` unbiasedness scale correcting the raw product.
-        crs_scale: f32,
-    },
-    /// Composed gather-N × gather-K: the dropout plan's kept output neurons
-    /// and the CRS kept inner indices compact both GEMM dimensions in one
-    /// kernel call.
-    GatherCrs {
-        /// Kept output-neuron indices, ascending.
-        kept: &'p [usize],
-        /// Kept inner-dimension indices, ascending.
-        kept_k: &'p [usize],
-        /// The `K/k` unbiasedness scale correcting the raw product.
-        crs_scale: f32,
-    },
 }
 
 /// Classifies a plan into its execution path. A block plan's kept blocks
 /// are expanded into `block_cols`, the last block clipped to
-/// `out_features`, so it runs through the gather kernels.
+/// `out_features`, so it selects output columns like a row plan.
 fn exec_path<'p>(
     plan: &'p DropoutPlan,
     out_features: usize,
     block_cols: &'p mut Vec<usize>,
 ) -> ExecPath<'p> {
-    // CRS is orthogonal to the output-neuron families, so it is classified
-    // first: a plan carrying both a kept-row set and a kept-K selection is
-    // the composed double-compaction call.
-    if let Some(selection) = plan.crs_selection() {
-        let kept_k = selection.kept_indices();
-        let crs_scale = selection.scale();
-        if let Some(kept) = plan.compact_rows() {
-            return ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            };
-        }
-        return ExecPath::CrsK { kept_k, crs_scale };
-    }
-    if let Some(kept) = plan.compact_rows() {
-        return ExecPath::Gather { kept, nm: None };
-    }
-    if let Some((kept, n, m)) = plan.nm_lanes() {
-        return ExecPath::Gather {
-            kept,
-            nm: Some((n, m)),
-        };
-    }
-    if let Some((kept, block, _)) = plan.kept_unit_blocks() {
+    // CRS is orthogonal to the output-neuron families: it composes with a
+    // row plan (both axes selected) or a dense one (K alone).
+    let (k, k_scale) = match plan.crs_selection() {
+        Some(selection) => (Some(selection.kept_indices()), selection.scale()),
+        None => (None, 1.0),
+    };
+    let n = if let Some(kept) = plan.compact_rows() {
+        Some(kept)
+    } else if let Some((kept, _, _)) = plan.nm_lanes() {
+        Some(kept)
+    } else if let Some((kept, block, _)) = plan.kept_unit_blocks() {
         block_cols.clear();
         for &b in kept {
             block_cols.extend((b * block)..((b + 1) * block).min(out_features));
         }
-        return ExecPath::Gather {
-            kept: block_cols,
-            nm: None,
-        };
+        Some(&block_cols[..])
+    } else {
+        None
+    };
+    if n.is_some() || k.is_some() {
+        return ExecPath::Select { n, k, k_scale };
     }
     if let Some((kept, grid)) = plan.kept_tiles() {
         return ExecPath::Tiles { kept, grid };
@@ -180,14 +148,8 @@ struct Workspace {
     /// Tile-masked weight panel `W ⊙ M`: built by the tile forward, read
     /// again by the tile backward for `dX`.
     tile_panel: Matrix,
-    /// Packing buffers for the column-gather compacted forward GEMM (row,
-    /// N:M and block paths).
-    row_scratch: RowCompactScratch,
-    /// Gather buffers for the column-gather compacted backward pass.
-    gather_scratch: GatherColsScratch,
-    /// Gather buffers for the K-dimension sampled (CRS) kernels, forward
-    /// and backward, pure and composed.
-    crs_scratch: GatherKScratch,
+    /// Packing buffers of the selection kernels, forward and backward.
+    select_scratch: SelectScratch,
 }
 
 impl Linear {
@@ -288,33 +250,36 @@ impl Linear {
             "input width must match in_features"
         );
         let output = match exec_path(plan, self.weight.cols(), &mut self.ws.block_cols) {
-            ExecPath::Gather { kept, nm } => {
+            ExecPath::Select { n, k, k_scale } => {
                 let mut z = Matrix::default();
-                match nm {
-                    Some((n, m)) => gemm::nm_compact_gemm_into(
-                        input,
-                        &self.weight,
-                        kept,
-                        n,
-                        m,
-                        &mut self.ws.row_scratch,
-                        &mut z,
-                    ),
-                    None => gemm::row_compact_gemm_into(
-                        input,
-                        &self.weight,
-                        kept,
-                        &mut self.ws.row_scratch,
-                        &mut z,
-                    ),
-                }
+                gemm::select_gemm_into(
+                    input,
+                    &self.weight,
+                    n,
+                    k,
+                    &mut self.ws.select_scratch,
+                    &mut z,
+                )
                 .expect("kept indices come from the plan and are in bounds");
-                let scale = plan.scale();
+                // The K/k estimator scale corrects the raw product *before*
+                // the bias, so the bias is never inflated; the dropout scale
+                // multiplies kept columns. Same arithmetic as the fused
+                // kernel, so the two paths stay bitwise identical.
                 let bias = self.bias.row(0);
-                for i in 0..z.rows() {
-                    let row = z.row_mut(i);
-                    for &j in kept {
-                        row[j] = (row[j] + bias[j]) * scale;
+                match n {
+                    Some(kept) => {
+                        let scale = plan.scale();
+                        for i in 0..z.rows() {
+                            let row = z.row_mut(i);
+                            for &j in kept {
+                                row[j] = (row[j] * k_scale + bias[j]) * scale;
+                            }
+                        }
+                    }
+                    None => {
+                        for i in 0..z.rows() {
+                            simd::scale_add_bias(z.row_mut(i), k_scale, bias);
+                        }
                     }
                 }
                 z
@@ -328,51 +293,6 @@ impl Linear {
                 z.map_inplace(|v| v * scale);
                 z.add_row_broadcast_inplace(&self.bias)
                     .expect("bias width matches output");
-                z
-            }
-            ExecPath::CrsK { kept_k, crs_scale } => {
-                let mut z = Matrix::default();
-                gemm::gather_k_gemm_into(
-                    input,
-                    &self.weight,
-                    kept_k,
-                    &mut self.ws.crs_scratch,
-                    &mut z,
-                )
-                .expect("kept inner indices come from the plan and are in bounds");
-                // The K/k estimator scale corrects the raw sampled product
-                // *before* the bias, so the bias is never inflated. Same
-                // vectorised epilogue as the fused kernel, so the two paths
-                // stay bitwise identical.
-                let bias = self.bias.row(0);
-                for i in 0..z.rows() {
-                    simd::scale_add_bias(z.row_mut(i), crs_scale, bias);
-                }
-                z
-            }
-            ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            } => {
-                let mut z = Matrix::default();
-                gemm::gather_nk_gemm_into(
-                    input,
-                    &self.weight,
-                    kept_k,
-                    kept,
-                    &mut self.ws.crs_scratch,
-                    &mut z,
-                )
-                .expect("kept indices come from the plan and are in bounds");
-                let scale = plan.scale();
-                let bias = self.bias.row(0);
-                for i in 0..z.rows() {
-                    let row = z.row_mut(i);
-                    for &j in kept {
-                        row[j] = (row[j] * crs_scale + bias[j]) * scale;
-                    }
-                }
                 z
             }
             ExecPath::Dense | ExecPath::DenseMasked { .. } => {
@@ -415,30 +335,18 @@ impl Linear {
         );
         let scale = plan.scale();
         match exec_path(plan, self.weight.cols(), &mut self.ws.block_cols) {
-            ExecPath::Gather { kept, nm } => match nm {
-                Some((n, m)) => gemm::nm_compact_gemm_bias_act_into(
-                    input,
-                    &self.weight,
-                    kept,
-                    n,
-                    m,
-                    &self.bias,
-                    scale,
-                    act,
-                    &mut self.ws.row_scratch,
-                    out,
-                ),
-                None => gemm::gather_cols_gemm_bias_act_into(
-                    input,
-                    &self.weight,
-                    kept,
-                    &self.bias,
-                    scale,
-                    act,
-                    &mut self.ws.row_scratch,
-                    out,
-                ),
-            }
+            ExecPath::Select { n, k, k_scale } => gemm::select_gemm_bias_act_into(
+                input,
+                &self.weight,
+                n,
+                k,
+                &self.bias,
+                k_scale,
+                scale,
+                act,
+                &mut self.ws.select_scratch,
+                out,
+            )
             .expect("kept indices come from the plan and are in bounds"),
             ExecPath::Tiles { kept, grid } => {
                 tile_masked_panel(&self.weight, kept, grid, &mut self.ws.tile_panel);
@@ -452,34 +360,6 @@ impl Linear {
                 )
                 .expect("inner dimensions must agree")
             }
-            ExecPath::CrsK { kept_k, crs_scale } => gemm::gather_k_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept_k,
-                &self.bias,
-                crs_scale,
-                act,
-                &mut self.ws.crs_scratch,
-                out,
-            )
-            .expect("kept inner indices come from the plan and are in bounds"),
-            ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            } => gemm::gather_nk_gemm_bias_act_into(
-                input,
-                &self.weight,
-                kept_k,
-                kept,
-                &self.bias,
-                crs_scale,
-                scale,
-                act,
-                &mut self.ws.crs_scratch,
-                out,
-            )
-            .expect("kept indices come from the plan and are in bounds"),
             ExecPath::DenseMasked { mask } => gemm::gemm_epilogue_into(
                 input,
                 &self.weight,
@@ -562,33 +442,40 @@ impl Linear {
         let batch = grad_output.rows();
 
         match exec_path(&ws.plan, out_features, &mut ws.block_cols) {
-            ExecPath::Gather { kept, .. } => {
-                let scale = ws.plan.scale();
-                // Fused backward pair: the scaled kept gradient columns are
-                // gathered once and reused for both products —
-                // dW = Xᵀ·(scale·G[:, kept]) scattered into the kept columns
-                // (dropped columns stay exactly zero; the dense zero-masked
-                // gradient matrix of the seed implementation is never
-                // materialised) and dX = (scale·G[:, kept]) · W[:, kept]ᵀ.
-                gemm::gather_cols_backward_into(
+            ExecPath::Select { n, k, k_scale } => {
+                // One backward pair: with kept neurons, the scaled kept
+                // gradient columns are gathered once and reused for
+                // dW = X[:, k]ᵀ·(scale·G[:, n]) and dX = (scale·G[:, n])·W[k, n]ᵀ,
+                // scattered so every dropped entry stays exactly zero (the
+                // dense zero-masked gradient is never materialised). The
+                // scale is the dropout scale times the K/k estimator scale.
+                let row_scale = ws.plan.scale();
+                gemm::select_backward_into(
                     &ws.input,
                     grad_output,
                     &self.weight,
-                    kept,
-                    scale,
-                    &mut ws.gather_scratch,
+                    n,
+                    k,
+                    k_scale * row_scale,
+                    &mut ws.select_scratch,
                     &mut self.weight_grad,
                     dx,
                 )
                 .expect("shapes agree and kept indices come from the plan");
-                // Bias gradient: column sums of the scaled kept gradient.
-                self.bias_grad.resize(1, out_features);
-                let acc = self.bias_grad.row_mut(0);
-                for i in 0..batch {
-                    let row = grad_output.row(i);
-                    for &j in kept {
-                        acc[j] += row[j] * scale;
+                // Bias gradient: the bias sits outside the sampled product,
+                // so only the dropout scale reaches it, on kept columns.
+                match n {
+                    Some(kept) => {
+                        self.bias_grad.resize(1, out_features);
+                        let acc = self.bias_grad.row_mut(0);
+                        for i in 0..batch {
+                            let row = grad_output.row(i);
+                            for &j in kept {
+                                acc[j] += row[j] * row_scale;
+                            }
+                        }
                     }
+                    None => grad_output.sum_rows_into(&mut self.bias_grad),
                 }
             }
             ExecPath::Tiles { kept, grid } => {
@@ -605,59 +492,6 @@ impl Linear {
                 // dX = g · (W ⊙ M)ᵀ against the masked panel the forward
                 // built: one dense transposed-operand GEMM.
                 gemm::gemm_a_bt_into(&ws.grad, &ws.tile_panel, dx).expect("inner dimensions agree");
-            }
-            ExecPath::CrsK { kept_k, crs_scale } => {
-                // Sampled backward: both transposed products run at the
-                // reduced inner dimension; dropped weight rows and input
-                // gradient columns stay exactly zero and the K/k estimator
-                // scale rides in the scatter.
-                gemm::gather_k_backward_into(
-                    &ws.input,
-                    grad_output,
-                    &self.weight,
-                    kept_k,
-                    crs_scale,
-                    &mut ws.crs_scratch,
-                    &mut self.weight_grad,
-                    dx,
-                )
-                .expect("shapes agree and kept inner indices come from the plan");
-                // The bias is added after the scaled product, so its gradient
-                // is the plain column sum — the estimator never touches it.
-                grad_output.sum_rows_into(&mut self.bias_grad);
-            }
-            ExecPath::GatherCrs {
-                kept,
-                kept_k,
-                crs_scale,
-            } => {
-                // Composed backward: one gathered gradient panel drives both
-                // double-compacted products, scaled by the product of the
-                // K/k estimator scale and the inverted-dropout scale.
-                let scale = crs_scale * ws.plan.scale();
-                gemm::gather_nk_backward_into(
-                    &ws.input,
-                    grad_output,
-                    &self.weight,
-                    kept_k,
-                    kept,
-                    scale,
-                    &mut ws.crs_scratch,
-                    &mut self.weight_grad,
-                    dx,
-                )
-                .expect("shapes agree and kept indices come from the plan");
-                // Bias gradient: the kept columns scale by the dropout factor
-                // only (the bias sits outside the sampled product).
-                let row_scale = ws.plan.scale();
-                self.bias_grad.resize(1, out_features);
-                let acc = self.bias_grad.row_mut(0);
-                for i in 0..batch {
-                    let row = grad_output.row(i);
-                    for &j in kept {
-                        acc[j] += row[j] * row_scale;
-                    }
-                }
             }
             ExecPath::Dense | ExecPath::DenseMasked { .. } => {
                 // Dense (identity or Bernoulli-masked) path: the gradient
@@ -1088,19 +922,21 @@ mod tests {
             .collect();
         assert_eq!(cols.last(), Some(&52), "the last block is clipped to 53");
 
-        // Fused forward: bitwise the gather kernel on the expanded columns.
+        // Fused forward: bitwise the selection kernel on the expanded columns.
         let x = init::uniform(&mut rng, 7, 19, -1.0, 1.0);
         let mut fused = Matrix::default();
         layer.forward_act_into(&x, &plan, Activation::Relu, &mut fused);
         let mut reference = Matrix::default();
-        gemm::gather_cols_gemm_bias_act_into(
+        gemm::select_gemm_bias_act_into(
             &x,
             layer.weight(),
-            &cols,
+            Some(&cols),
+            None,
             layer.bias(),
+            1.0,
             plan.scale(),
             Activation::Relu,
-            &mut RowCompactScratch::default(),
+            &mut SelectScratch::default(),
             &mut reference,
         )
         .unwrap();
@@ -1122,6 +958,20 @@ mod tests {
             dx_ref.as_slice(),
             1e-3
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn repeated_kept_block_is_rejected_not_counted_twice() {
+        // Block 0 listed twice would expand to its columns twice: the
+        // unfused epilogue would scale them twice and the gathered gradient
+        // would count them twice. The plan rejects it before any GEMM runs.
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut layer = Linear::new(&mut rng, 8, 32);
+        let x = init::uniform(&mut rng, 3, 8, -1.0, 1.0);
+        let plan = DropoutPlan::block_unit(LayerShape::new(8, 32), 8, vec![0, 0, 2], 2.0, 0.5);
+        let _ = layer.forward(&x, &plan);
+        let _ = layer.backward(&Matrix::ones(3, 32));
     }
 
     #[test]

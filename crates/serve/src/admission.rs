@@ -1,9 +1,11 @@
 //! Typed admission outcomes: overload produces answers, not backlog.
 //!
-//! With a bounded [`crate::ShardedQueue`], submitting a job can fail in
-//! two ways, both of which the serving layer reports explicitly instead of
-//! silently enqueueing into an ever-growing queue:
+//! Submitting a job can fail in three ways, all of which the serving layer
+//! reports explicitly instead of silently enqueueing:
 //!
+//! * [`AdmissionError::Invalid`] — the [`crate::JobSpec`] itself is
+//!   malformed (see [`InvalidJob`]); [`crate::Client::submit`] returns this
+//!   immediately, so a bad job never reaches a worker thread.
 //! * [`AdmissionError::Rejected`] — the shard is full and the incoming job
 //!   is the cheapest-to-retry work in sight; [`crate::Client::submit`]
 //!   returns this immediately, so the tenant can back off and retry.
@@ -34,6 +36,22 @@ pub enum AdmissionError {
         /// QoS class of the job that displaced this one.
         by: QosClass,
     },
+    /// The job spec is malformed; the job was never enqueued.
+    Invalid(InvalidJob),
+}
+
+/// Why [`crate::Client::submit`] refused a malformed [`crate::JobSpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidJob {
+    /// `model` is not an index into the server's catalog.
+    UnknownModel {
+        /// The requested catalog index.
+        model: usize,
+        /// Number of models in the catalog.
+        catalog: usize,
+    },
+    /// The job asks for zero request rows.
+    NoRows,
 }
 
 impl fmt::Display for AdmissionError {
@@ -45,6 +63,13 @@ impl fmt::Display for AdmissionError {
             ),
             AdmissionError::Shed { by } => {
                 write!(f, "shed from the queue by an arriving {by} job")
+            }
+            AdmissionError::Invalid(InvalidJob::UnknownModel { model, catalog }) => write!(
+                f,
+                "invalid job: model {model} is not in the {catalog}-model catalog"
+            ),
+            AdmissionError::Invalid(InvalidJob::NoRows) => {
+                write!(f, "invalid job: a job needs at least one request row")
             }
         }
     }
@@ -68,5 +93,13 @@ mod tests {
             by: QosClass::Interactive,
         };
         assert!(shed.to_string().contains("interactive"));
+        let unknown = AdmissionError::Invalid(InvalidJob::UnknownModel {
+            model: 7,
+            catalog: 2,
+        });
+        assert!(unknown.to_string().contains("model 7"));
+        assert!(AdmissionError::Invalid(InvalidJob::NoRows)
+            .to_string()
+            .contains("row"));
     }
 }

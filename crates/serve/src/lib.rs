@@ -64,7 +64,7 @@ pub mod queue;
 pub mod server;
 
 pub use adaptive::{AdaptiveController, ArrivalTracker};
-pub use admission::{AdmissionError, JobReply};
+pub use admission::{AdmissionError, InvalidJob, JobReply};
 pub use approx_dropout::{PlanCache, PlanCacheStats, PlanKey, SchemeSpec, SchemeSpecError};
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleDecision};
 pub use batcher::{coalesce, BatchPolicy};

@@ -32,7 +32,7 @@
 //! [`crate::Autoscaler`] scales up earliest.
 
 use crate::adaptive::{AdaptiveController, ArrivalTracker};
-use crate::admission::{AdmissionError, JobReply};
+use crate::admission::{AdmissionError, InvalidJob, JobReply};
 use crate::autoscale::{AutoscaleConfig, Autoscaler, ScaleDecision};
 use crate::batcher::BatchPolicy;
 use crate::config::ServeConfig;
@@ -212,8 +212,20 @@ impl Client {
     /// job (that victim's receiver yields [`AdmissionError::Shed`]), or
     /// bounce off a shard full of work at least as valuable — then nothing
     /// is enqueued and the [`AdmissionError::Rejected`] comes back
-    /// directly so the tenant can back off.
+    /// directly so the tenant can back off. A malformed spec (a model
+    /// outside the catalog, zero rows) is refused up front with
+    /// [`AdmissionError::Invalid`] and never reaches a worker.
     pub fn submit(&self, spec: JobSpec) -> Result<Receiver<JobReply>, AdmissionError> {
+        let catalog = self.shared.catalog.len();
+        if spec.model >= catalog {
+            return Err(AdmissionError::Invalid(InvalidJob::UnknownModel {
+                model: spec.model,
+                catalog,
+            }));
+        }
+        if spec.rows == 0 {
+            return Err(AdmissionError::Invalid(InvalidJob::NoRows));
+        }
         let now = Instant::now();
         self.shared.tracker.observe(spec.batch_key(), now);
         let (reply, result) = channel();

@@ -1,18 +1,21 @@
-//! GEMM kernels: dense references and the compacted variants that actually
+//! GEMM kernels: dense references and the selection kernels that actually
 //! skip dropped output columns and inner indices.
 //!
 //! The paper's central observation is that conventional dropout cannot shrink
 //! the GEMM because the dropped positions are irregular; the Row-based and
 //! Tile-based patterns make the dropped positions *predictable*, so the kernel
 //! can build compact operand matrices and multiply those instead. The CPU
-//! equivalent here is the column gather ([`gather_cols_gemm_into`], behind
-//! [`row_compact_gemm`]): it packs the kept output columns of `W` and runs
-//! the dense micro-kernel over the packed panel. Every family that keeps
-//! whole output neurons (row, N:M, and block dropout expanded to its kept
-//! columns) runs through it. Tile dropout runs the dense kernel over a
-//! tile-masked weight panel with the [`Epilogue::ScaledBias`] write-back;
-//! [`tile_masked_gemm_reference`] is its naive reference. The kernels are
-//! validated against the dense ones by unit and property tests.
+//! equivalent here is one selection per GEMM axis: [`select_gemm_into`],
+//! [`select_gemm_bias_act_into`] and [`select_backward_into`] take a kept
+//! output-column set (`n_sel`) and a kept inner-index set (`k_sel`), pack
+//! the selected panel, run the dense micro-kernel over it and scatter the
+//! result back. Every family that keeps whole output neurons (row, N:M, and
+//! block dropout expanded to its kept columns) selects on N; column-row
+//! sampling (CRS) selects on K; row×CRS selects on both. Tile dropout runs
+//! the dense kernel over a tile-masked weight panel with the
+//! [`Epilogue::ScaledBias`] write-back; [`tile_masked_gemm_reference`] is
+//! its naive reference. The kernels are validated against the dense ones by
+//! unit and property tests.
 //!
 //! # Kernel architecture
 //!
@@ -363,701 +366,6 @@ pub fn gemm_a_bt(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
 }
 
 // ---------------------------------------------------------------------------
-// Compacted kernels
-// ---------------------------------------------------------------------------
-
-/// Reusable packing buffers for the column-gather compacted GEMMs
-/// ([`gather_cols_gemm_into`] and its [`row_compact_gemm_into`] /
-/// [`nm_compact_gemm_into`] wrappers): the compact weight panel and the
-/// compact product, recycled across training iterations so the hot path
-/// performs no per-call allocations once warmed up.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RowCompactScratch {
-    pack: Matrix,
-    product: Matrix,
-}
-
-fn check_kept_cols(kept: &[usize], n: usize) -> Result<(), GemmError> {
-    if let Some(&bad) = kept.iter().find(|&&j| j >= n) {
-        return Err(GemmError::new(format!(
-            "kept output index {bad} out of bounds for {n} output features"
-        )));
-    }
-    Ok(())
-}
-
-/// Validates that every kept inner-dimension (K) index of a sampled GEMM is
-/// in bounds.
-fn check_kept_k(kept_k: &[usize], k: usize) -> Result<(), GemmError> {
-    if let Some(&bad) = kept_k.iter().find(|&&p| p >= k) {
-        return Err(GemmError::new(format!(
-            "kept inner index {bad} out of bounds for inner dimension {k}"
-        )));
-    }
-    Ok(())
-}
-
-/// Packs the `kept` columns of `src` into the dense panel `dst`
-/// (`src.rows() × kept.len()`) — the shared scalar gather step of both
-/// compacted families (output-column gather and K-dimension gather alike).
-fn pack_cols(src: &Matrix, kept: &[usize], dst: &mut Matrix) {
-    let rows = src.rows();
-    dst.resize_for_overwrite(rows, kept.len());
-    for r in 0..rows {
-        let srow = src.row(r);
-        let drow = dst.row_mut(r);
-        for (c, &j) in kept.iter().enumerate() {
-            drow[c] = srow[j];
-        }
-    }
-}
-
-/// Packs the `kept` rows of `src` into the dense panel
-/// `dst` (`kept.len() × src.cols()`) — the K-dimension gather of the sampled
-/// weight operand, contiguous row copies with no strided access.
-fn pack_rows(src: &Matrix, kept: &[usize], dst: &mut Matrix) {
-    dst.resize_for_overwrite(kept.len(), src.cols());
-    for (r, &p) in kept.iter().enumerate() {
-        dst.row_mut(r).copy_from_slice(src.row(p));
-    }
-}
-
-/// Packs the `kept_k × kept_cols` sub-grid of `w` into a dense panel — the
-/// double-gathered weight operand of the composed gather-N × gather-K
-/// kernels.
-fn pack_rows_cols(w: &Matrix, kept_k: &[usize], kept_cols: &[usize], dst: &mut Matrix) {
-    dst.resize_for_overwrite(kept_k.len(), kept_cols.len());
-    for (r, &p) in kept_k.iter().enumerate() {
-        let srow = w.row(p);
-        let drow = dst.row_mut(r);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            drow[c] = srow[j];
-        }
-    }
-}
-
-/// Column-gather compacted GEMM: the shared execution core of every scheme
-/// that drops whole output neurons at scattered positions (the Row-based
-/// Dropout Pattern and N:M structured sparsity).
-///
-/// Computes `C = A * W` where only the output columns listed in `kept_cols`
-/// participate: the surviving columns of `W` are packed into a dense panel,
-/// a small `M × K × |kept|` GEMM runs, and the compact product is scattered
-/// back into the full-size zero output — steps 1–3 of the paper's
-/// Fig. 3(a), generalised to an arbitrary kept set.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept
-/// index is out of bounds.
-pub fn gather_cols_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_kept_cols(kept_cols, n)?;
-    // Pack only the kept columns of W into a dense panel (step 1: fetch
-    // only surviving synapses), …
-    pack_cols(w, kept_cols, &mut scratch.pack);
-    // … run the small GEMM (step 2), …
-    blocked_gemm_into(a, &scratch.pack, &mut scratch.product)?;
-    // … and scatter back into the full-size zero output (step 3).
-    let m = a.rows();
-    out.resize(m, n);
-    for i in 0..m {
-        let src = scratch.product.row(i);
-        let dst = out.row_mut(i);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
-        }
-    }
-    Ok(())
-}
-
-/// Row-compacted GEMM used by the Row-based Dropout Pattern, writing into
-/// `out` and packing through caller-owned `scratch`.
-///
-/// See [`row_compact_gemm`] for the semantics.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept index
-/// is out of bounds.
-pub fn row_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_output_rows: &[usize],
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    gather_cols_gemm_into(a, w, kept_output_rows, scratch, out)
-}
-
-/// Validates that `kept_cols` has the N:M group structure: exactly
-/// `min(n, group_size)` ascending kept lanes inside every `m`-wide group of
-/// the `out_features` output columns.
-fn check_nm_structure(
-    kept_cols: &[usize],
-    n: usize,
-    m: usize,
-    out_features: usize,
-) -> Result<(), GemmError> {
-    if n == 0 || m == 0 || n > m {
-        return Err(GemmError::new(format!("invalid N:M parameters {n}:{m}")));
-    }
-    let mut it = kept_cols.iter().peekable();
-    let mut start = 0;
-    while start < out_features {
-        let size = m.min(out_features - start);
-        let expected = n.min(size);
-        let mut in_group = 0;
-        let mut prev = None;
-        while let Some(&&j) = it.peek() {
-            if j >= start + size {
-                break;
-            }
-            if j < start || prev.is_some_and(|p| j <= p) {
-                return Err(GemmError::new(format!(
-                    "kept lane {j} breaks the ascending N:M group order"
-                )));
-            }
-            prev = Some(j);
-            in_group += 1;
-            it.next();
-        }
-        if in_group != expected {
-            return Err(GemmError::new(format!(
-                "group starting at {start} keeps {in_group} lanes, expected {expected} for {n}:{m}"
-            )));
-        }
-        start += size;
-    }
-    if it.next().is_some() {
-        return Err(GemmError::new("kept lane beyond the output width"));
-    }
-    Ok(())
-}
-
-/// Group-compacted GEMM for N:M structured sparsity, writing into `out`.
-///
-/// Validates that `kept_cols` keeps exactly `n` lanes of every `m`-wide
-/// output group (the structure a sparse-tensor-core kernel relies on) and
-/// executes through the shared column-gather core
-/// ([`gather_cols_gemm_into`]).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or `kept_cols`
-/// does not have the `n`-of-`m` group structure.
-pub fn nm_compact_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    n: usize,
-    m: usize,
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_nm_structure(kept_cols, n, m, w.cols())?;
-    gather_cols_gemm_into(a, w, kept_cols, scratch, out)
-}
-
-/// Allocating variant of [`nm_compact_gemm_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the same conditions.
-pub fn nm_compact_gemm(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    n: usize,
-    m: usize,
-) -> Result<Matrix, GemmError> {
-    let mut scratch = RowCompactScratch::default();
-    let mut out = Matrix::zeros(0, 0);
-    nm_compact_gemm_into(a, w, kept_cols, n, m, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Reusable gather buffers for the backward passes of the column-gather
-/// compacted schemes: the gathered (and gradient-scaled) output-gradient
-/// panel, and one `in × kept` panel that holds the gathered weight columns
-/// for `dX` and then the compact weight-gradient product for `dW`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GatherColsScratch {
-    g_kept: Matrix,
-    panel: Matrix,
-}
-
-/// Gathers the kept columns of `g`, scaled by `scale`, into `dst`.
-fn gather_scaled_cols(g: &Matrix, kept_cols: &[usize], scale: f32, dst: &mut Matrix) {
-    let batch = g.rows();
-    dst.resize_for_overwrite(batch, kept_cols.len());
-    for i in 0..batch {
-        let src = g.row(i);
-        let out = dst.row_mut(i);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            out[c] = src[j] * scale;
-        }
-    }
-}
-
-/// Weight-gradient form of the column-gather compacted backward pass:
-/// `dW = Xᵀ · (scale · G[:, kept])`, scattered into the kept columns of
-/// `out` (shape `x.cols() × g.cols()`); dropped columns stay exactly zero.
-///
-/// With activations `X` of shape `(batch, in)` and the full-width output
-/// gradient `G` of shape `(batch, out)` this is the weight gradient of a
-/// row- or N:M-compacted layer without ever materialising the dense
-/// zero-masked gradient.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions disagree or any kept
-/// index is out of bounds.
-pub fn gather_cols_gemm_at_b_into(
-    x: &Matrix,
-    g: &Matrix,
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherColsScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    at_b_from_gathered(x, g.cols(), kept_cols, scratch, out)
-}
-
-/// `dW` tail of the gather backward given an already-gathered (and scaled)
-/// gradient panel in `scratch.g_kept`: compact product + scatter into the
-/// kept columns of `out`.
-fn at_b_from_gathered(
-    x: &Matrix,
-    n: usize,
-    kept_cols: &[usize],
-    scratch: &mut GatherColsScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    let GatherColsScratch { g_kept, panel } = scratch;
-    gemm_at_b_into(x, g_kept, panel)?;
-    let k = x.cols();
-    out.resize(k, n);
-    for r in 0..k {
-        let src = panel.row(r);
-        let dst = out.row_mut(r);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
-        }
-    }
-    Ok(())
-}
-
-/// `dX` tail of the gather backward given an already-gathered (and scaled)
-/// gradient panel in `scratch.g_kept`: gather the kept weight columns and
-/// multiply.
-fn a_bt_from_gathered(
-    w: &Matrix,
-    kept_cols: &[usize],
-    scratch: &mut GatherColsScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    let GatherColsScratch { g_kept, panel } = scratch;
-    pack_cols(w, kept_cols, panel);
-    gemm_a_bt_into(g_kept, panel, out)
-}
-
-/// Input-gradient form of the column-gather compacted backward pass:
-/// `dX = (scale · G[:, kept]) · W[:, kept]ᵀ` — only the synapses feeding
-/// kept output neurons contribute, and neither transpose is materialised.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if `g.cols() != w.cols()` or any kept index is
-/// out of bounds.
-pub fn gather_cols_gemm_a_bt_into(
-    g: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherColsScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    a_bt_from_gathered(w, kept_cols, scratch, out)
-}
-
-/// Fused backward pair of the column-gather compacted schemes: gathers the
-/// scaled kept gradient columns **once** and reuses the panel for both
-/// transposed-operand products,
-/// `dW = Xᵀ·(scale·G[:, kept])` (scattered into `dw_out`, dropped columns
-/// zero) and `dX = (scale·G[:, kept]) · W[:, kept]ᵀ` (into `dx_out`).
-///
-/// Equivalent to calling [`gather_cols_gemm_at_b_into`] then
-/// [`gather_cols_gemm_a_bt_into`], minus the second gather pass — this is
-/// the entry point the training hot path uses.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions of `x` and `g` disagree,
-/// `g.cols() != w.cols()`, or any kept index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a GEMM pair: 4 operands, 1 scale, scratch, 2 outputs
-pub fn gather_cols_backward_into(
-    x: &Matrix,
-    g: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherColsScratch,
-    dw_out: &mut Matrix,
-    dx_out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    // dX first: the weight panel it packs is dead afterwards, so the dW
-    // product reuses its buffer.
-    a_bt_from_gathered(w, kept_cols, scratch, dx_out)?;
-    at_b_from_gathered(x, g.cols(), kept_cols, scratch, dw_out)
-}
-
-// ---------------------------------------------------------------------------
-// K-dimension gather (sampled-GEMM / CRS) kernels
-// ---------------------------------------------------------------------------
-
-/// Reusable gather buffers for the K-dimension sampled (CRS) kernels: the
-/// gathered activation-column panel, the gathered weight-row panel, the
-/// gathered (and gradient-scaled) output-gradient panel of the composed
-/// backward, and the compact product — recycled across iterations so the hot
-/// path performs no per-call allocations once warmed up.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GatherKScratch {
-    a_kept: Matrix,
-    w_kept: Matrix,
-    g_kept: Matrix,
-    compact: Matrix,
-}
-
-/// K-dimension sampled GEMM (column-row sampling, CRS): computes the **raw**
-/// sampled product `C = A[:, kept_k] · W[kept_k, :]` — only the inner
-/// products listed in `kept_k` participate. The kept columns of `A` and rows
-/// of `W` are packed into dense panels that route through the same blocked
-/// SIMD core as the dense kernel, so `kept_k == 0..K` (in order) is bitwise
-/// identical to [`blocked_gemm_into`].
-///
-/// The `K/k` unbiasedness scale is **not** applied here: the output is the
-/// raw sampled product and callers fold the scale into their epilogue (see
-/// [`gather_k_gemm_bias_act_into`]), which keeps the degeneracy bitwise and
-/// the scale placement identical between fused and unfused paths.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept
-/// inner index is out of bounds.
-pub fn gather_k_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    check_kept_k(kept_k, a.cols())?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows(w, kept_k, &mut scratch.w_kept);
-    blocked_gemm_into(&scratch.a_kept, &scratch.w_kept, out)
-}
-
-/// Allocating variant of [`gather_k_gemm_into`].
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the same conditions.
-pub fn gather_k_gemm(a: &Matrix, w: &Matrix, kept_k: &[usize]) -> Result<Matrix, GemmError> {
-    let mut scratch = GatherKScratch::default();
-    let mut out = Matrix::zeros(0, 0);
-    gather_k_gemm_into(a, w, kept_k, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Composed gather-N × gather-K GEMM: the raw sampled product restricted to
-/// the kept output columns,
-/// `C[:, kept_cols] = A[:, kept_k] · W[kept_k, kept_cols]`, with dropped
-/// output columns exactly zero. One kernel call compacts **both** GEMM
-/// dimensions — the dropout pattern shrinks N while CRS shrinks K, so the
-/// two speedups multiply.
-///
-/// Like [`gather_k_gemm_into`] the output is unscaled; the composed epilogue
-/// applies both the `K/k` estimator scale and the inverted-dropout scale.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept
-/// index (inner or output) is out of bounds.
-pub fn gather_nk_gemm_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    kept_cols: &[usize],
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_kept_k(kept_k, a.cols())?;
-    check_kept_cols(kept_cols, n)?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows_cols(w, kept_k, kept_cols, &mut scratch.w_kept);
-    blocked_gemm_into(&scratch.a_kept, &scratch.w_kept, &mut scratch.compact)?;
-    let m = a.rows();
-    out.resize(m, n);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
-        let dst = out.row_mut(i);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
-        }
-    }
-    Ok(())
-}
-
-/// Weight-gradient form of the K-sampled backward pass:
-/// `dW[kept_k, :] = scale · X[:, kept_k]ᵀ · G`, scattered into the kept rows
-/// of `out` (shape `x.cols() × g.cols()`); dropped weight rows stay exactly
-/// zero — the synapses whose inner products were skipped receive no update,
-/// and `scale` carries the `K/k` estimator correction.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions disagree or any kept
-/// inner index is out of bounds.
-pub fn gather_k_gemm_at_b_into(
-    x: &Matrix,
-    g: &Matrix,
-    kept_k: &[usize],
-    scale: f32,
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    check_kept_k(kept_k, x.cols())?;
-    pack_cols(x, kept_k, &mut scratch.a_kept);
-    gemm_at_b_into(&scratch.a_kept, g, &mut scratch.compact)?;
-    let (k, n) = (x.cols(), g.cols());
-    out.resize(k, n);
-    for (r, &p) in kept_k.iter().enumerate() {
-        let src = scratch.compact.row(r);
-        let dst = out.row_mut(p);
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = s * scale;
-        }
-    }
-    Ok(())
-}
-
-/// Input-gradient form of the K-sampled backward pass:
-/// `dX[:, kept_k] = scale · G · W[kept_k, :]ᵀ`, scattered into the kept
-/// columns of `out` (shape `g.rows() × w.rows()`); dropped input features
-/// receive exactly zero gradient.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if `g.cols() != w.cols()` or any kept inner index
-/// is out of bounds.
-pub fn gather_k_gemm_a_bt_into(
-    g: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    scale: f32,
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    check_kept_k(kept_k, w.rows())?;
-    pack_rows(w, kept_k, &mut scratch.w_kept);
-    gemm_a_bt_into(g, &scratch.w_kept, &mut scratch.compact)?;
-    let (m, k) = (g.rows(), w.rows());
-    out.resize(m, k);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
-        let dst = out.row_mut(i);
-        for (c, &p) in kept_k.iter().enumerate() {
-            dst[p] = src[c] * scale;
-        }
-    }
-    Ok(())
-}
-
-/// Backward pair of the K-sampled scheme: both transposed-operand products
-/// through one scratch —
-/// `dW[kept_k, :] = scale·X[:, kept_k]ᵀ·G` and
-/// `dX[:, kept_k] = scale·G·W[kept_k, :]ᵀ`. This is the entry point the
-/// training hot path uses.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] under the conditions of
-/// [`gather_k_gemm_at_b_into`] and [`gather_k_gemm_a_bt_into`].
-#[allow(clippy::too_many_arguments)] // a GEMM pair: 4 operands, 1 scale, scratch, 2 outputs
-pub fn gather_k_backward_into(
-    x: &Matrix,
-    g: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    scale: f32,
-    scratch: &mut GatherKScratch,
-    dw_out: &mut Matrix,
-    dx_out: &mut Matrix,
-) -> Result<(), GemmError> {
-    gather_k_gemm_at_b_into(x, g, kept_k, scale, scratch, dw_out)?;
-    gather_k_gemm_a_bt_into(g, w, kept_k, scale, scratch, dx_out)
-}
-
-/// Backward pair of the composed gather-N × gather-K scheme: gathers the
-/// scaled kept gradient columns **once** and reuses the panel for both
-/// double-compacted products —
-/// `dW[kept_k, kept_cols] = X[:, kept_k]ᵀ · (scale·G[:, kept_cols])`
-/// (all other entries of `dw_out` exactly zero) and
-/// `dX[:, kept_k] = (scale·G[:, kept_cols]) · W[kept_k, kept_cols]ᵀ`.
-/// `scale` carries the product of the `K/k` estimator scale and the
-/// inverted-dropout scale.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the batch dimensions of `x` and `g` disagree,
-/// `g.cols() != w.cols()`, or any kept index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a GEMM pair: 4 operands, 2 kept sets, 1 scale, scratch, 2 outputs
-pub fn gather_nk_backward_into(
-    x: &Matrix,
-    g: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    kept_cols: &[usize],
-    scale: f32,
-    scratch: &mut GatherKScratch,
-    dw_out: &mut Matrix,
-    dx_out: &mut Matrix,
-) -> Result<(), GemmError> {
-    if x.rows() != g.rows() {
-        return Err(GemmError::new(format!(
-            "batch dimensions disagree: {:?}ᵀ * {:?}",
-            x.shape(),
-            g.shape()
-        )));
-    }
-    if g.cols() != w.cols() {
-        return Err(GemmError::new(format!(
-            "output widths disagree: {:?} * {:?}ᵀ",
-            g.shape(),
-            w.shape()
-        )));
-    }
-    check_kept_k(kept_k, x.cols())?;
-    check_kept_cols(kept_cols, g.cols())?;
-    gather_scaled_cols(g, kept_cols, scale, &mut scratch.g_kept);
-    // dW: compact product over both kept sets, scattered into the kept
-    // (row, column) grid of the full-size zero weight gradient.
-    pack_cols(x, kept_k, &mut scratch.a_kept);
-    gemm_at_b_into(&scratch.a_kept, &scratch.g_kept, &mut scratch.compact)?;
-    let (k, n) = (x.cols(), g.cols());
-    dw_out.resize(k, n);
-    for (r, &p) in kept_k.iter().enumerate() {
-        let src = scratch.compact.row(r);
-        let dst = dw_out.row_mut(p);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = src[c];
-        }
-    }
-    // dX: the same gathered gradient panel against the double-gathered
-    // weight panel, scattered into the kept inner columns.
-    pack_rows_cols(w, kept_k, kept_cols, &mut scratch.w_kept);
-    gemm_a_bt_into(&scratch.g_kept, &scratch.w_kept, &mut scratch.compact)?;
-    let m = g.rows();
-    dx_out.resize(m, k);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
-        let dst = dx_out.row_mut(i);
-        for (c, &p) in kept_k.iter().enumerate() {
-            dst[p] = src[c];
-        }
-    }
-    Ok(())
-}
-
-/// Row-compacted GEMM used by the Row-based Dropout Pattern.
-///
-/// Computes `C = A * W` where only the rows of the *output* listed in
-/// `kept_output_rows` are needed — equivalently only the corresponding
-/// columns of `W` (the synapses feeding the kept neurons) participate.
-///
-/// Layout convention used across the workspace: activations are
-/// `(batch, in_features)` and weights are `(in_features, out_features)`, so
-/// dropping output *neurons* means dropping *columns* of `W` and columns of
-/// the output. The paper describes the transposed layout (dropping rows of
-/// `Wᵀ`); both are the same compaction. The returned matrix has the full
-/// `(batch, out_features)` shape with dropped columns left at zero, exactly
-/// like step 3 of the paper's Fig. 3(a).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree or any kept index
-/// is out of bounds.
-pub fn row_compact_gemm(
-    a: &Matrix,
-    w: &Matrix,
-    kept_output_rows: &[usize],
-) -> Result<Matrix, GemmError> {
-    let mut scratch = RowCompactScratch::default();
-    let mut out = Matrix::zeros(0, 0);
-    row_compact_gemm_into(a, w, kept_output_rows, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // Fused whole-layer kernels (GEMM + bias + activation)
 // ---------------------------------------------------------------------------
 
@@ -1245,162 +553,347 @@ pub fn gemm_epilogue_into(
     Ok(())
 }
 
-/// Fused column-gather whole-layer kernel: the compacted GEMM of
-/// [`gather_cols_gemm_into`] with the bias add, inverted-dropout scale and
-/// activation folded into the scatter step —
-/// `C[:, j] = act((A·W[:, kept] + bias[j]) · scale)` for kept columns `j`
-/// and `act(0)` for dropped columns (exactly what the unfused
-/// compact → bias/scale → activation chain produces, since the dropped
-/// pre-activations are zero).
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is not a
-/// `1 × w.cols()` row vector, or any kept index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a whole layer: 3 operands + plan params + scratch + out
-pub fn gather_cols_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_cols: &[usize],
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    scratch: &mut RowCompactScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    check_kept_cols(kept_cols, n)?;
-    // Pack the kept columns and run the small GEMM exactly like the unfused
-    // kernel …
-    pack_cols(w, kept_cols, &mut scratch.pack);
-    blocked_gemm_into(a, &scratch.pack, &mut scratch.product)?;
-    // … then scatter with the whole epilogue fused into the write-back: the
-    // scaled-bias pre-activations land in the kept columns of a zeroed row
-    // (dropped pre-activations are exactly zero) and the activation runs
-    // vectorised over the full row — `act(0)` in the dropped columns, same
-    // as the unfused chain.
-    let m = a.rows();
-    let brow = bias.row(0);
-    out.resize_for_overwrite(m, n);
-    for i in 0..m {
-        let src = scratch.product.row(i);
-        let dst = out.row_mut(i);
-        dst.fill(0.0);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = (src[c] + brow[j]) * scale;
+// ---------------------------------------------------------------------------
+// Selection kernels
+// ---------------------------------------------------------------------------
+
+/// Reusable buffers of the selection kernels: the packed `A[:, k]` panel,
+/// the packed `W[k, n]` panel, the gathered (and scaled) `G[:, n]` panel of
+/// the backward pass and the compact product. They are recycled across
+/// training iterations, so the hot path makes no per-call allocations once
+/// warmed up.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SelectScratch {
+    a_kept: Matrix,
+    w_kept: Matrix,
+    g_kept: Matrix,
+    product: Matrix,
+}
+
+/// Validates one axis selection: every index below `len`, strictly
+/// ascending (so no index is counted twice).
+fn check_selection(sel: Option<&[usize]>, len: usize, axis: &str) -> Result<(), GemmError> {
+    let mut next = 0;
+    for &i in sel.unwrap_or_default() {
+        if i >= len {
+            return Err(GemmError::new(format!(
+                "kept {axis} index {i} out of bounds for {len}"
+            )));
         }
-        act.apply_slice(dst);
+        if i < next {
+            return Err(GemmError::new(format!(
+                "kept {axis} indices must be strictly ascending: {i} follows {}",
+                next - 1
+            )));
+        }
+        next = i + 1;
     }
     Ok(())
 }
 
-/// Fused N:M whole-layer kernel: validates the `n`-of-`m` group structure and
-/// executes through [`gather_cols_gemm_bias_act_into`].
+/// Length of an axis of `len` entries under `sel`.
+fn selected_len(sel: Option<&[usize]>, len: usize) -> usize {
+    sel.map_or(len, <[usize]>::len)
+}
+
+/// Packs the selected rows × selected columns of `src` into the dense
+/// panel `dst`; `None` keeps a whole axis. This is the one gather step of
+/// every selection: `A[:, k]`, `W[k, :]`, `W[:, n]` and `W[k, n]`.
+fn pack(src: &Matrix, rows: Option<&[usize]>, cols: Option<&[usize]>, dst: &mut Matrix) {
+    let nrows = selected_len(rows, src.rows());
+    dst.resize_for_overwrite(nrows, selected_len(cols, src.cols()));
+    for r in 0..nrows {
+        let srow = src.row(rows.map_or(r, |sel| sel[r]));
+        let drow = dst.row_mut(r);
+        match cols {
+            Some(cols) => {
+                for (d, &j) in drow.iter_mut().zip(cols) {
+                    *d = srow[j];
+                }
+            }
+            None => drow.copy_from_slice(srow),
+        }
+    }
+}
+
+/// Gathers the `cols` columns of `g`, times `scale`, into `dst`: the
+/// gradient panel of the backward pass.
+fn gather_scaled_cols(g: &Matrix, cols: &[usize], scale: f32, dst: &mut Matrix) {
+    dst.resize_for_overwrite(g.rows(), cols.len());
+    for i in 0..g.rows() {
+        let src = g.row(i);
+        for (d, &j) in dst.row_mut(i).iter_mut().zip(cols) {
+            *d = src[j] * scale;
+        }
+    }
+}
+
+/// Resizes `dst` to the zeroed `rows × cols` full-size matrix and scatters
+/// the compact `src` times `scale` into its selected rows and columns.
+fn scatter(
+    src: &Matrix,
+    row_sel: Option<&[usize]>,
+    col_sel: Option<&[usize]>,
+    scale: f32,
+    (rows, cols): (usize, usize),
+    dst: &mut Matrix,
+) {
+    dst.resize(rows, cols);
+    for r in 0..src.rows() {
+        let s = src.row(r);
+        let d = dst.row_mut(row_sel.map_or(r, |sel| sel[r]));
+        match col_sel {
+            Some(col_sel) => {
+                for (&v, &j) in s.iter().zip(col_sel) {
+                    d[j] = v * scale;
+                }
+            }
+            None => {
+                for (d, &v) in d.iter_mut().zip(s) {
+                    *d = v * scale;
+                }
+            }
+        }
+    }
+}
+
+/// `src` restricted to the selected rows × columns: packed into `dst` when
+/// an axis is selected, borrowed in place when none is.
+fn select_panel<'a>(
+    src: &'a Matrix,
+    rows: Option<&[usize]>,
+    cols: Option<&[usize]>,
+    dst: &'a mut Matrix,
+) -> &'a Matrix {
+    if rows.is_none() && cols.is_none() {
+        return src;
+    }
+    pack(src, rows, cols, dst);
+    dst
+}
+
+/// The checked operands of a selected product, `A[:, k]` and `W[k, n]`.
+fn select_operands<'a>(
+    a: &'a Matrix,
+    w: &'a Matrix,
+    n_sel: Option<&[usize]>,
+    k_sel: Option<&[usize]>,
+    a_kept: &'a mut Matrix,
+    w_kept: &'a mut Matrix,
+) -> Result<(&'a Matrix, &'a Matrix), GemmError> {
+    check_inner(a, w)?;
+    check_selection(n_sel, w.cols(), "output")?;
+    check_selection(k_sel, a.cols(), "inner")?;
+    Ok((
+        select_panel(a, None, k_sel, a_kept),
+        select_panel(w, k_sel, n_sel, w_kept),
+    ))
+}
+
+/// Selection GEMM, writing into `out`: the raw product of the selected part
+/// of `C = A · W`, with every unselected output column exactly zero.
+///
+/// `n_sel` selects output columns (kept neurons of the row, N:M and block
+/// families) and `k_sel` selects inner-dimension indices (column-row
+/// sampling, arXiv:1805.08079); `None` keeps the whole axis. The selected
+/// columns of `A` and the selected grid of `W` are packed into dense panels,
+/// the dense micro-kernel runs over them, and the compact product is
+/// scattered back into the full-size zero output: steps 1–3 of the paper's
+/// Fig. 3(a), on either axis. An axis that is not selected is not packed:
+/// `A` is read in place when `k_sel` is `None`, and the product lands in
+/// `out` directly when `n_sel` is `None`. Selecting every index of an axis,
+/// in order, is bitwise identical to not selecting it.
+///
+/// No scale is applied: callers fold the `K/k` estimator and the
+/// inverted-dropout scale into their epilogue (see
+/// [`select_gemm_bias_act_into`]).
 ///
 /// # Errors
 ///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, or `kept_cols` does not have the `n`-of-`m` group structure.
-#[allow(clippy::too_many_arguments)]
-pub fn nm_compact_gemm_bias_act_into(
+/// Returns a [`GemmError`] if the inner dimensions disagree or a selection
+/// is not strictly ascending and in bounds.
+pub fn select_gemm_into(
     a: &Matrix,
     w: &Matrix,
-    kept_cols: &[usize],
-    n: usize,
-    m: usize,
-    bias: &Matrix,
-    scale: f32,
-    act: Activation,
-    scratch: &mut RowCompactScratch,
+    n_sel: Option<&[usize]>,
+    k_sel: Option<&[usize]>,
+    scratch: &mut SelectScratch,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
-    check_nm_structure(kept_cols, n, m, w.cols())?;
-    gather_cols_gemm_bias_act_into(a, w, kept_cols, bias, scale, act, scratch, out)
+    let SelectScratch {
+        a_kept,
+        w_kept,
+        product,
+        ..
+    } = scratch;
+    let (a_op, w_op) = select_operands(a, w, n_sel, k_sel, a_kept, w_kept)?;
+    match n_sel {
+        Some(_) => {
+            blocked_gemm_into(a_op, w_op, product)?;
+            scatter(product, None, n_sel, 1.0, (a.rows(), w.cols()), out);
+            Ok(())
+        }
+        None => blocked_gemm_into(a_op, w_op, out),
+    }
 }
 
-/// Fused K-sampled whole-layer kernel: the sampled GEMM of
-/// [`gather_k_gemm_into`] with the `K/k` estimator scale, bias add and
-/// activation folded into the write-back —
-/// `C = act(crs_scale · A[:, kept_k]·W[kept_k, :] + bias)`. The scale
-/// corrects the **raw product before the bias**, so the bias itself is never
-/// inflated by the estimator; `kept_k == 0..K` with `crs_scale == 1` is
-/// bitwise identical to [`gemm_bias_act_into`].
+/// Multiplies `m` by `scale` in place, skipping the pass when `scale == 1`.
+fn scale_inplace(m: &mut Matrix, scale: f32) {
+    if scale != 1.0 {
+        m.map_inplace(|v| v * scale);
+    }
+}
+
+/// Backward pair of the selection GEMM, through one scratch:
+/// `dW[k, n] = X[:, k]ᵀ · G[:, n]` and `dX[:, k] = G[:, n] · W[k, n]ᵀ`, both
+/// times `scale`, with every unselected entry of `dw` and `dx` exactly zero.
+///
+/// When `n_sel` selects columns, `scale` multiplies the gathered gradient
+/// panel `G[:, n]` once and both products reuse it; otherwise `G` is used
+/// in place and `scale` is applied in the scatter of the `K` axis. `scale`
+/// carries the inverted-dropout scale, the `K/k` estimator scale, or their
+/// product.
+///
+/// # Errors
+///
+/// Returns a [`GemmError`] if the batch dimensions of `x` and `g` disagree,
+/// `g.cols() != w.cols()`, `x.cols() != w.rows()`, or a selection is not
+/// strictly ascending and in bounds.
+#[allow(clippy::too_many_arguments)] // a GEMM pair: 3 operands, 2 selections, 1 scale, scratch, 2 outputs
+pub fn select_backward_into(
+    x: &Matrix,
+    g: &Matrix,
+    w: &Matrix,
+    n_sel: Option<&[usize]>,
+    k_sel: Option<&[usize]>,
+    scale: f32,
+    scratch: &mut SelectScratch,
+    dw: &mut Matrix,
+    dx: &mut Matrix,
+) -> Result<(), GemmError> {
+    if x.rows() != g.rows() {
+        return Err(GemmError::new(format!(
+            "batch dimensions disagree: {:?}ᵀ * {:?}",
+            x.shape(),
+            g.shape()
+        )));
+    }
+    if g.cols() != w.cols() || x.cols() != w.rows() {
+        return Err(GemmError::new(format!(
+            "gradient {:?} and input {:?} do not match weight {:?}",
+            g.shape(),
+            x.shape(),
+            w.shape()
+        )));
+    }
+    check_selection(n_sel, w.cols(), "output")?;
+    check_selection(k_sel, w.rows(), "inner")?;
+    let SelectScratch {
+        a_kept,
+        w_kept,
+        g_kept,
+        product,
+    } = scratch;
+    // The scale rides in the gradient gather when N is selected, and in
+    // the K scatter (or in place) when it is not.
+    let (g_op, post) = match n_sel {
+        Some(cols) => {
+            gather_scaled_cols(g, cols, scale, g_kept);
+            (&*g_kept, 1.0)
+        }
+        None => (g, scale),
+    };
+    let (k, n) = w.shape();
+    // dX: the gradient panel against the packed weight grid. dX first: the
+    // weight panel it packs is dead afterwards.
+    let w_op = select_panel(w, k_sel, n_sel, w_kept);
+    match k_sel {
+        Some(_) => {
+            gemm_a_bt_into(g_op, w_op, product)?;
+            scatter(product, None, k_sel, post, (x.rows(), k), dx);
+        }
+        None => {
+            gemm_a_bt_into(g_op, w_op, dx)?;
+            scale_inplace(dx, post);
+        }
+    }
+    // dW: the packed inputs against the same gradient panel, scattered into
+    // the selected (row, column) grid.
+    let x_op = select_panel(x, None, k_sel, a_kept);
+    if n_sel.is_none() && k_sel.is_none() {
+        gemm_at_b_into(x_op, g_op, dw)?;
+        scale_inplace(dw, post);
+    } else {
+        gemm_at_b_into(x_op, g_op, product)?;
+        scatter(product, k_sel, n_sel, post, (k, n), dw);
+    }
+    Ok(())
+}
+
+/// Fused selection whole-layer kernel: the selection GEMM of
+/// [`select_gemm_into`] with the estimator scale, bias add,
+/// inverted-dropout scale and activation folded into the write-back.
+///
+/// * With `n_sel` selecting columns, a kept column `j` is
+///   `act((p·k_scale + bias[j])·n_scale)` for the compact product `p`, and
+///   a dropped column is `act(0)`: exactly what the unfused
+///   select → epilogue → activation chain produces, since the dropped
+///   pre-activations are zero. For a plan that selects no `K` indices,
+///   `k_scale` is 1 and `p·1 == p`, so this is bitwise `(p + bias[j])·n_scale`.
+/// * With `n_sel` `None` the product is written straight into `out` through
+///   the [`Epilogue::ScaledBias`] write-back, `act(p·k_scale + bias)`: the
+///   `K/k` estimator corrects the raw product before the bias, so the bias
+///   is never inflated. `n_scale` must then be 1.
 ///
 /// # Errors
 ///
 /// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is not a
-/// `1 × w.cols()` row vector, or any kept inner index is out of bounds.
-#[allow(clippy::too_many_arguments)] // a whole layer: 3 operands + plan params + scratch + out
-pub fn gather_k_gemm_bias_act_into(
+/// `1 × w.cols()` row vector, a selection is not strictly ascending and in
+/// bounds, or `n_scale != 1` without an `n_sel`.
+#[allow(clippy::too_many_arguments)] // a whole layer: 3 operands + 2 selections + 2 scales + act + scratch + out
+pub fn select_gemm_bias_act_into(
     a: &Matrix,
     w: &Matrix,
-    kept_k: &[usize],
+    n_sel: Option<&[usize]>,
+    k_sel: Option<&[usize]>,
     bias: &Matrix,
-    crs_scale: f32,
+    k_scale: f32,
+    n_scale: f32,
     act: Activation,
-    scratch: &mut GatherKScratch,
+    scratch: &mut SelectScratch,
     out: &mut Matrix,
 ) -> Result<(), GemmError> {
-    check_inner(a, w)?;
     let n = w.cols();
     check_bias(bias, n)?;
-    check_kept_k(kept_k, a.cols())?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows(w, kept_k, &mut scratch.w_kept);
-    gemm_epilogue_into(
-        &scratch.a_kept,
-        &scratch.w_kept,
-        bias,
-        Epilogue::ScaledBias { scale: crs_scale },
-        act,
-        out,
-    )
-}
-
-/// Fused composed gather-N × gather-K whole-layer kernel: the
-/// double-compacted GEMM of [`gather_nk_gemm_into`] with both scales, the
-/// bias add and the activation fused into the scatter —
-/// `C[:, j] = act((crs_scale · p + bias[j]) · row_scale)` for kept output
-/// columns `j` (with `p` the compact sampled product) and `act(0)` for
-/// dropped columns, exactly what the unfused compact → epilogue chain
-/// produces.
-///
-/// # Errors
-///
-/// Returns a [`GemmError`] if the inner dimensions disagree, `bias` is
-/// malformed, or any kept index (inner or output) is out of bounds.
-#[allow(clippy::too_many_arguments)] // a whole layer: 3 operands + plan params + scratch + out
-pub fn gather_nk_gemm_bias_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    kept_k: &[usize],
-    kept_cols: &[usize],
-    bias: &Matrix,
-    crs_scale: f32,
-    row_scale: f32,
-    act: Activation,
-    scratch: &mut GatherKScratch,
-    out: &mut Matrix,
-) -> Result<(), GemmError> {
-    check_inner(a, w)?;
-    let n = w.cols();
-    check_bias(bias, n)?;
-    check_kept_k(kept_k, a.cols())?;
-    check_kept_cols(kept_cols, n)?;
-    pack_cols(a, kept_k, &mut scratch.a_kept);
-    pack_rows_cols(w, kept_k, kept_cols, &mut scratch.w_kept);
-    blocked_gemm_into(&scratch.a_kept, &scratch.w_kept, &mut scratch.compact)?;
-    let m = a.rows();
+    if n_sel.is_none() && n_scale != 1.0 {
+        return Err(GemmError::new(format!(
+            "output scale {n_scale} needs an output selection"
+        )));
+    }
+    let SelectScratch {
+        a_kept,
+        w_kept,
+        product,
+        ..
+    } = scratch;
+    let (a_op, w_op) = select_operands(a, w, n_sel, k_sel, a_kept, w_kept)?;
+    let Some(cols) = n_sel else {
+        let epilogue = Epilogue::ScaledBias { scale: k_scale };
+        return gemm_epilogue_into(a_op, w_op, bias, epilogue, act, out);
+    };
+    blocked_gemm_into(a_op, w_op, product)?;
+    // Scatter with the whole epilogue fused into the write-back: the
+    // pre-activations land in the kept columns of a zeroed row and the
+    // activation runs vectorised over the full row (`act(0)` in the dropped
+    // columns, same as the unfused chain).
     let brow = bias.row(0);
-    out.resize_for_overwrite(m, n);
-    for i in 0..m {
-        let src = scratch.compact.row(i);
+    out.resize_for_overwrite(a.rows(), n);
+    for i in 0..a.rows() {
+        let src = product.row(i);
         let dst = out.row_mut(i);
         dst.fill(0.0);
-        for (c, &j) in kept_cols.iter().enumerate() {
-            dst[j] = (src[c] * crs_scale + brow[j]) * row_scale;
+        for (&p, &j) in src.iter().zip(cols) {
+            dst[j] = (p * k_scale + brow[j]) * n_scale;
         }
         act.apply_slice(dst);
     }
@@ -1572,24 +1065,39 @@ mod tests {
         }
     }
 
+    /// Raw selection product with a fresh scratch (the tests' stand-in for
+    /// the allocating forms the selection kernels replaced).
+    fn select(a: &Matrix, w: &Matrix, n: Option<&[usize]>, k: Option<&[usize]>) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        select_gemm_into(a, w, n, k, &mut SelectScratch::default(), &mut out)
+            .map(|()| out)
+            .expect("valid selection")
+    }
+
+    /// `(dW, dX)` of [`select_backward_into`] with a fresh scratch.
+    fn select_backward(
+        x: &Matrix,
+        g: &Matrix,
+        w: &Matrix,
+        n: Option<&[usize]>,
+        k: Option<&[usize]>,
+        scale: f32,
+    ) -> (Matrix, Matrix) {
+        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut scratch = SelectScratch::default();
+        select_backward_into(x, g, w, n, k, scale, &mut scratch, &mut dw, &mut dx)
+            .expect("valid selection");
+        (dw, dx)
+    }
+
     #[test]
     fn row_compact_matches_column_masked_dense() {
         let mut rng = StdRng::seed_from_u64(11);
         let a = random_matrix(&mut rng, 8, 12);
         let w = random_matrix(&mut rng, 12, 10);
         let kept = vec![0, 3, 6, 9];
-        let compact = row_compact_gemm(&a, &w, &kept).unwrap();
-
-        // Dense reference: zero the dropped columns of W, then multiply.
-        let mut masked = w.clone();
-        for j in 0..w.cols() {
-            if !kept.contains(&j) {
-                for p in 0..w.rows() {
-                    masked[(p, j)] = 0.0;
-                }
-            }
-        }
-        let reference = naive_gemm(&a, &masked).unwrap();
+        let compact = select(&a, &w, Some(&kept), None);
+        let reference = col_masked_reference(&a, &w, &kept);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
             reference.as_slice(),
@@ -1601,7 +1109,9 @@ mod tests {
     fn row_compact_rejects_out_of_bounds_index() {
         let a = Matrix::zeros(2, 3);
         let w = Matrix::zeros(3, 4);
-        assert!(row_compact_gemm(&a, &w, &[4]).is_err());
+        let mut out = Matrix::zeros(0, 0);
+        let mut scratch = SelectScratch::default();
+        assert!(select_gemm_into(&a, &w, Some(&[4]), None, &mut scratch, &mut out).is_err());
     }
 
     #[test]
@@ -1610,20 +1120,22 @@ mod tests {
         let a = random_matrix(&mut rng, 6, 7);
         let w = random_matrix(&mut rng, 7, 5);
         let all: Vec<usize> = (0..5).collect();
-        let compact = row_compact_gemm(&a, &w, &all).unwrap();
+        let compact = select(&a, &w, Some(&all), None);
         let dense = naive_gemm(&a, &w).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
             dense.as_slice(),
             1e-4
         ));
+        // Selecting every column in order is bitwise the unselected product.
+        assert_eq!(compact, select(&a, &w, None, None));
     }
 
     #[test]
     fn row_compact_with_no_rows_is_zero() {
         let a = Matrix::ones(3, 4);
         let w = Matrix::ones(4, 5);
-        let c = row_compact_gemm(&a, &w, &[]).unwrap();
+        let c = select(&a, &w, Some(&[]), None);
         assert_eq!(c.sum(), 0.0);
         assert_eq!(c.shape(), (3, 5));
     }
@@ -1633,14 +1145,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let a = random_matrix(&mut rng, 6, 10);
         let w = random_matrix(&mut rng, 10, 8);
-        let mut scratch = RowCompactScratch::default();
+        let mut scratch = SelectScratch::default();
         let mut out = Matrix::zeros(0, 0);
-        row_compact_gemm_into(&a, &w, &[0, 2, 4, 6], &mut scratch, &mut out).unwrap();
-        let pack_ptr = scratch.pack.as_slice().as_ptr();
+        select_gemm_into(&a, &w, Some(&[0, 2, 4, 6]), None, &mut scratch, &mut out).unwrap();
+        let pack_ptr = scratch.w_kept.as_slice().as_ptr();
         let out_ptr = out.as_slice().as_ptr();
         // Second call with the same kept-count: every buffer is reused.
-        row_compact_gemm_into(&a, &w, &[1, 3, 5, 7], &mut scratch, &mut out).unwrap();
-        assert_eq!(pack_ptr, scratch.pack.as_slice().as_ptr());
+        select_gemm_into(&a, &w, Some(&[1, 3, 5, 7]), None, &mut scratch, &mut out).unwrap();
+        assert_eq!(pack_ptr, scratch.w_kept.as_slice().as_ptr());
         assert_eq!(out_ptr, out.as_slice().as_ptr());
     }
 
@@ -1762,7 +1274,7 @@ mod tests {
         let w = random_matrix(&mut rng, 9, 8);
         // 2:4 over 8 columns: lanes {1,3} and {4,6}.
         let kept = vec![1, 3, 4, 6];
-        let compact = nm_compact_gemm(&a, &w, &kept, 2, 4).unwrap();
+        let compact = select(&a, &w, Some(&kept), None);
         let reference = col_masked_reference(&a, &w, &kept);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -1772,27 +1284,13 @@ mod tests {
     }
 
     #[test]
-    fn nm_compact_rejects_malformed_group_structure() {
-        let a = Matrix::zeros(2, 4);
-        let w = Matrix::zeros(4, 8);
-        // Three lanes in the first group of four.
-        assert!(nm_compact_gemm(&a, &w, &[0, 1, 2, 4, 6], 2, 4).is_err());
-        // Unsorted lanes inside a group.
-        assert!(nm_compact_gemm(&a, &w, &[3, 1, 4, 6], 2, 4).is_err());
-        // Lane past the output width.
-        assert!(nm_compact_gemm(&a, &w, &[1, 3, 4, 8], 2, 4).is_err());
-        // Correct structure passes.
-        assert!(nm_compact_gemm(&a, &w, &[0, 1, 4, 5], 2, 4).is_ok());
-    }
-
-    #[test]
     fn nm_compact_handles_ragged_tail_group() {
         let mut rng = StdRng::seed_from_u64(53);
         let a = random_matrix(&mut rng, 3, 5);
         let w = random_matrix(&mut rng, 5, 10);
         // 3:4 over 10 columns: tail group {8, 9} keeps min(3, 2) = 2 lanes.
         let kept = vec![0, 2, 3, 5, 6, 7, 8, 9];
-        let compact = nm_compact_gemm(&a, &w, &kept, 3, 4).unwrap();
+        let compact = select(&a, &w, Some(&kept), None);
         let reference = col_masked_reference(&a, &w, &kept);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -1809,7 +1307,6 @@ mod tests {
         let w = random_matrix(&mut rng, 5, 9); // (in, out)
         let kept = vec![0, 3, 4, 8];
         let scale = 2.25f32;
-        let mut scratch = GatherColsScratch::default();
 
         // dW reference: Xᵀ · (scale · G ⊙ column mask).
         let mut g_masked = Matrix::zeros(7, 9);
@@ -1819,8 +1316,7 @@ mod tests {
             }
         }
         let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
-        let mut dw = Matrix::zeros(0, 0);
-        gather_cols_gemm_at_b_into(&x, &g, &kept, scale, &mut scratch, &mut dw).unwrap();
+        let (dw, dx) = select_backward(&x, &g, &w, Some(&kept), None, scale);
         assert_eq!(dw.shape(), (5, 9));
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
@@ -1831,8 +1327,6 @@ mod tests {
         // dX reference: (scale · G ⊙ mask) · Wᵀ with dropped columns of W
         // contributing nothing.
         let dx_ref = naive_gemm(&g_masked, &w.transpose()).unwrap();
-        let mut dx = Matrix::zeros(0, 0);
-        gather_cols_gemm_a_bt_into(&g, &w, &kept, scale, &mut scratch, &mut dx).unwrap();
         assert_eq!(dx.shape(), (7, 5));
         assert!(crate::approx_eq_slice(
             dx.as_slice(),
@@ -1843,43 +1337,46 @@ mod tests {
 
     #[test]
     fn fused_gather_backward_matches_the_standalone_pair() {
+        // The pair with an output selection alone equals the pair that also
+        // selects every inner index in order, bitwise: the unselected K
+        // axis is read in place, the selected one packed, and both feed the
+        // same kernels the same values.
         let mut rng = StdRng::seed_from_u64(59);
         let x = random_matrix(&mut rng, 6, 4);
         let g = random_matrix(&mut rng, 6, 10);
         let w = random_matrix(&mut rng, 4, 10);
         let kept = vec![1, 2, 6, 9];
+        let all_k: Vec<usize> = (0..4).collect();
         let scale = 3.0f32;
-
-        let mut s1 = GatherColsScratch::default();
-        let mut dw_ref = Matrix::zeros(0, 0);
-        let mut dx_ref = Matrix::zeros(0, 0);
-        gather_cols_gemm_at_b_into(&x, &g, &kept, scale, &mut s1, &mut dw_ref).unwrap();
-        gather_cols_gemm_a_bt_into(&g, &w, &kept, scale, &mut s1, &mut dx_ref).unwrap();
-
-        let mut s2 = GatherColsScratch::default();
-        let mut dw = Matrix::zeros(0, 0);
-        let mut dx = Matrix::zeros(0, 0);
-        gather_cols_backward_into(&x, &g, &w, &kept, scale, &mut s2, &mut dw, &mut dx).unwrap();
-        assert_eq!(dw, dw_ref);
-        assert_eq!(dx, dx_ref);
+        let pair = select_backward(&x, &g, &w, Some(&kept), None, scale);
+        assert_eq!(
+            pair,
+            select_backward(&x, &g, &w, Some(&kept), Some(&all_k), scale)
+        );
 
         // Shape mismatches are rejected up front.
-        assert!(gather_cols_backward_into(
-            &Matrix::zeros(5, 4),
+        let mut s2 = SelectScratch::default();
+        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let bad_batch = Matrix::zeros(5, 4);
+        assert!(select_backward_into(
+            &bad_batch,
             &g,
             &w,
-            &kept,
+            Some(&kept),
+            None,
             scale,
             &mut s2,
             &mut dw,
             &mut dx
         )
         .is_err());
-        assert!(gather_cols_backward_into(
+        let bad_width = Matrix::zeros(4, 9);
+        assert!(select_backward_into(
             &x,
             &g,
-            &Matrix::zeros(4, 9),
-            &kept,
+            &bad_width,
+            Some(&kept),
+            None,
             scale,
             &mut s2,
             &mut dw,
@@ -1890,39 +1387,36 @@ mod tests {
 
     #[test]
     fn gather_backward_rejects_bad_shapes() {
-        let mut scratch = GatherColsScratch::default();
-        let mut out = Matrix::zeros(0, 0);
-        assert!(gather_cols_gemm_at_b_into(
-            &Matrix::zeros(3, 4),
-            &Matrix::zeros(2, 5),
-            &[0],
-            1.0,
-            &mut scratch,
-            &mut out
-        )
-        .is_err());
-        assert!(gather_cols_gemm_a_bt_into(
-            &Matrix::zeros(3, 5),
-            &Matrix::zeros(4, 6),
-            &[0],
-            1.0,
-            &mut scratch,
-            &mut out
-        )
-        .is_err());
-        assert!(gather_cols_gemm_a_bt_into(
-            &Matrix::zeros(3, 5),
-            &Matrix::zeros(4, 5),
-            &[5],
-            1.0,
-            &mut scratch,
-            &mut out
-        )
-        .is_err());
+        let mut scratch = SelectScratch::default();
+        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut run = |x: &Matrix, g: &Matrix, w: &Matrix, n: &[usize]| {
+            select_backward_into(x, g, w, Some(n), None, 1.0, &mut scratch, &mut dw, &mut dx)
+        };
+        // Batch dimensions disagree.
+        let (x, g, w) = (
+            Matrix::zeros(3, 4),
+            Matrix::zeros(2, 5),
+            Matrix::zeros(4, 5),
+        );
+        assert!(run(&x, &g, &w, &[0]).is_err());
+        // Output widths disagree.
+        let (x, g, w) = (
+            Matrix::zeros(3, 4),
+            Matrix::zeros(3, 5),
+            Matrix::zeros(4, 6),
+        );
+        assert!(run(&x, &g, &w, &[0]).is_err());
+        // Kept column out of bounds.
+        let (x, g, w) = (
+            Matrix::zeros(3, 4),
+            Matrix::zeros(3, 5),
+            Matrix::zeros(4, 5),
+        );
+        assert!(run(&x, &g, &w, &[5]).is_err());
     }
 
     /// Kept output columns of a `block`-wide block plan over `n` columns:
-    /// the gather kernels' kept set, the last block clipped to `n`.
+    /// the selection kernels' kept set, the last block clipped to `n`.
     fn block_cols(kept_blocks: &[usize], block: usize, n: usize) -> Vec<usize> {
         kept_blocks
             .iter()
@@ -1937,7 +1431,7 @@ mod tests {
         let w = random_matrix(&mut rng, 7, 10); // 3 blocks of 4 (last ragged)
         let kept_cols = block_cols(&[0, 2], 4, 10);
         assert_eq!(kept_cols, (0..4).chain(8..10).collect::<Vec<_>>());
-        let compact = row_compact_gemm(&a, &w, &kept_cols).unwrap();
+        let compact = select(&a, &w, Some(&kept_cols), None);
         let reference = col_masked_reference(&a, &w, &kept_cols);
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -1951,7 +1445,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(63);
         let a = random_matrix(&mut rng, 6, 8);
         let w = random_matrix(&mut rng, 8, 12);
-        let compact = row_compact_gemm(&a, &w, &block_cols(&[0, 1, 2], 4, 12)).unwrap();
+        let compact = select(&a, &w, Some(&block_cols(&[0, 1, 2], 4, 12)), None);
         let dense = naive_gemm(&a, &w).unwrap();
         assert!(crate::approx_eq_slice(
             compact.as_slice(),
@@ -1963,11 +1457,14 @@ mod tests {
     #[test]
     fn block_compact_rejects_bad_parameters() {
         // A block index past the grid expands to columns past the output
-        // width, which the gather rejects (a zero block width is rejected
-        // where block plans are built, in `BlockUnit::new`).
+        // width, which the selection rejects (block plans reject it where
+        // they are built, in `StructuredUnits::resolve_block`).
         let a = Matrix::zeros(2, 4);
         let w = Matrix::zeros(4, 8);
-        assert!(row_compact_gemm(&a, &w, &block_cols(&[2], 4, 12)).is_err()); // 2 blocks only
+        let cols = block_cols(&[2], 4, 12); // 2 blocks only
+        let mut out = Matrix::zeros(0, 0);
+        let mut scratch = SelectScratch::default();
+        assert!(select_gemm_into(&a, &w, Some(&cols), None, &mut scratch, &mut out).is_err());
     }
 
     #[test]
@@ -1987,20 +1484,7 @@ mod tests {
             }
         }
 
-        let mut scratch = GatherColsScratch::default();
-        let mut dw = Matrix::zeros(0, 0);
-        let mut dx = Matrix::zeros(0, 0);
-        gather_cols_backward_into(
-            &x,
-            &g,
-            &w,
-            &kept_cols,
-            scale,
-            &mut scratch,
-            &mut dw,
-            &mut dx,
-        )
-        .unwrap();
+        let (dw, dx) = select_backward(&x, &g, &w, Some(&kept_cols), None, scale);
         let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
         assert_eq!(dw.shape(), (5, 11));
         assert!(crate::approx_eq_slice(
@@ -2023,6 +1507,7 @@ mod tests {
         // unrolled at_b kernel under a block's contiguous kept columns.
         let mut rng = StdRng::seed_from_u64(71);
         let kept_cols = block_cols(&[0], 4, 8);
+        let w = random_matrix(&mut rng, 4, 8);
         for batch in [1usize, 2, 3, 5] {
             let x = random_matrix(&mut rng, batch, 4);
             let g = random_matrix(&mut rng, batch, 8);
@@ -2033,9 +1518,7 @@ mod tests {
                 }
             }
             let dw_ref = naive_gemm(&x.transpose(), &g_masked).unwrap();
-            let mut dw = Matrix::zeros(0, 0);
-            let mut scratch = GatherColsScratch::default();
-            gather_cols_gemm_at_b_into(&x, &g, &kept_cols, 1.0, &mut scratch, &mut dw).unwrap();
+            let (dw, _) = select_backward(&x, &g, &w, Some(&kept_cols), None, 1.0);
             assert!(
                 crate::approx_eq_slice(dw.as_slice(), dw_ref.as_slice(), 1e-4),
                 "batch {batch}"
@@ -2090,6 +1573,35 @@ mod tests {
         }
     }
 
+    /// The fused selection kernel with a fresh scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn select_fused(
+        a: &Matrix,
+        w: &Matrix,
+        n: Option<&[usize]>,
+        k: Option<&[usize]>,
+        bias: &Matrix,
+        k_scale: f32,
+        n_scale: f32,
+        act: Activation,
+    ) -> Result<Matrix, GemmError> {
+        let mut out = Matrix::zeros(0, 0);
+        let mut scratch = SelectScratch::default();
+        select_gemm_bias_act_into(
+            a,
+            w,
+            n,
+            k,
+            bias,
+            k_scale,
+            n_scale,
+            act,
+            &mut scratch,
+            &mut out,
+        )
+        .map(|()| out)
+    }
+
     #[test]
     fn fused_gather_matches_unfused_chain_bitwise() {
         let mut rng = StdRng::seed_from_u64(85);
@@ -2099,9 +1611,9 @@ mod tests {
         let kept = vec![0usize, 3, 5, 6, 10];
         let scale = 2.0f32;
         for act in ACTIVATIONS {
-            // Unfused chain: compacted GEMM, then the gather path's epilogue
+            // Unfused chain: selection GEMM, then the row path's epilogue
             // ((v + bias) * scale on kept columns only), then the activation.
-            let mut reference = row_compact_gemm(&a, &w, &kept).unwrap();
+            let mut reference = select(&a, &w, Some(&kept), None);
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
                 for &j in &kept {
@@ -2109,72 +1621,9 @@ mod tests {
                 }
             }
             reference.map_inplace(|v| act.apply(v));
-            let mut scratch = RowCompactScratch::default();
-            let mut fused = Matrix::zeros(0, 0);
-            gather_cols_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept,
-                &bias,
-                scale,
-                act,
-                &mut scratch,
-                &mut fused,
-            )
-            .unwrap();
+            let fused = select_fused(&a, &w, Some(&kept), None, &bias, 1.0, scale, act).unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
-    }
-
-    #[test]
-    fn fused_nm_validates_structure_and_matches_gather() {
-        let mut rng = StdRng::seed_from_u64(87);
-        let a = random_matrix(&mut rng, 5, 6);
-        let w = random_matrix(&mut rng, 6, 8);
-        let bias = random_matrix(&mut rng, 1, 8);
-        let kept = vec![1usize, 3, 4, 6]; // 2:4 over 8 columns
-        let mut scratch = RowCompactScratch::default();
-        let mut fused = Matrix::zeros(0, 0);
-        nm_compact_gemm_bias_act_into(
-            &a,
-            &w,
-            &kept,
-            2,
-            4,
-            &bias,
-            2.0,
-            Activation::Relu,
-            &mut scratch,
-            &mut fused,
-        )
-        .unwrap();
-        let mut reference = Matrix::zeros(0, 0);
-        gather_cols_gemm_bias_act_into(
-            &a,
-            &w,
-            &kept,
-            &bias,
-            2.0,
-            Activation::Relu,
-            &mut scratch,
-            &mut reference,
-        )
-        .unwrap();
-        assert_eq!(fused, reference);
-        // Malformed group structure is rejected.
-        assert!(nm_compact_gemm_bias_act_into(
-            &a,
-            &w,
-            &[0, 1, 2, 4],
-            2,
-            4,
-            &bias,
-            2.0,
-            Activation::Relu,
-            &mut scratch,
-            &mut fused,
-        )
-        .is_err());
     }
 
     #[test]
@@ -2186,7 +1635,7 @@ mod tests {
         let kept_cols = block_cols(&[0, 2], 4, 11);
         let scale = 2.0f32;
         for act in ACTIVATIONS {
-            let mut reference = row_compact_gemm(&a, &w, &kept_cols).unwrap();
+            let mut reference = select(&a, &w, Some(&kept_cols), None);
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
                 for &j in &kept_cols {
@@ -2194,19 +1643,8 @@ mod tests {
                 }
             }
             reference.map_inplace(|v| act.apply(v));
-            let mut scratch = RowCompactScratch::default();
-            let mut fused = Matrix::zeros(0, 0);
-            gather_cols_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept_cols,
-                &bias,
-                scale,
-                act,
-                &mut scratch,
-                &mut fused,
-            )
-            .unwrap();
+            let fused =
+                select_fused(&a, &w, Some(&kept_cols), None, &bias, 1.0, scale, act).unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2246,18 +1684,8 @@ mod tests {
         };
         let bias = Matrix::zeros(1, 4);
         assert!(gemm_epilogue_into(&a, &w, &bias, short_mask, Activation::Relu, &mut out).is_err());
-        let mut scratch = RowCompactScratch::default();
-        assert!(gather_cols_gemm_bias_act_into(
-            &a,
-            &w,
-            &[0],
-            &bad_bias,
-            1.0,
-            Activation::Relu,
-            &mut scratch,
-            &mut out
-        )
-        .is_err());
+        let relu = Activation::Relu;
+        assert!(select_fused(&a, &w, Some(&[0]), None, &bad_bias, 1.0, 1.0, relu).is_err());
     }
 
     #[test]
@@ -2268,19 +1696,8 @@ mod tests {
         let a = Matrix::ones(2, 3);
         let w = Matrix::ones(3, 4);
         let bias = Matrix::zeros(1, 4);
-        let mut scratch = RowCompactScratch::default();
-        let mut out = Matrix::zeros(0, 0);
-        gather_cols_gemm_bias_act_into(
-            &a,
-            &w,
-            &[1],
-            &bias,
-            1.0,
-            Activation::Sigmoid,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        let sigmoid = Activation::Sigmoid;
+        let out = select_fused(&a, &w, Some(&[1]), None, &bias, 1.0, 1.0, sigmoid).unwrap();
         assert_eq!(out[(0, 0)], 0.5);
         assert!((out[(0, 1)] - Activation::Sigmoid.apply(3.0)).abs() < 1e-6);
     }
@@ -2316,7 +1733,7 @@ mod tests {
         let a = random_matrix(&mut rng, 9, 14);
         let w = random_matrix(&mut rng, 14, 11);
         let kept_k = vec![0, 2, 3, 7, 8, 12, 13];
-        let sampled = gather_k_gemm(&a, &w, &kept_k).unwrap();
+        let sampled = select(&a, &w, None, Some(&kept_k));
         let reference = k_masked_reference(&a, &w, &kept_k);
         assert_eq!(sampled.shape(), (9, 11));
         assert!(crate::approx_eq_slice(
@@ -2335,7 +1752,7 @@ mod tests {
         let a = random_matrix(&mut rng, 13, 22);
         let w = random_matrix(&mut rng, 22, 17);
         let all: Vec<usize> = (0..22).collect();
-        let sampled = gather_k_gemm(&a, &w, &all).unwrap();
+        let sampled = select(&a, &w, None, Some(&all));
         let dense = blocked_gemm(&a, &w).unwrap();
         assert_eq!(sampled, dense);
     }
@@ -2347,11 +1764,8 @@ mod tests {
         let w = random_matrix(&mut rng, 18, 12);
         let bias = random_matrix(&mut rng, 1, 12);
         let all: Vec<usize> = (0..18).collect();
-        let mut scratch = GatherKScratch::default();
         for act in ACTIVATIONS {
-            let mut sampled = Matrix::zeros(0, 0);
-            gather_k_gemm_bias_act_into(&a, &w, &all, &bias, 1.0, act, &mut scratch, &mut sampled)
-                .unwrap();
+            let sampled = select_fused(&a, &w, None, Some(&all), &bias, 1.0, 1.0, act).unwrap();
             let dense = gemm_bias_act(&a, &w, &bias, act).unwrap();
             assert_eq!(sampled, dense, "{act:?}");
         }
@@ -2365,27 +1779,17 @@ mod tests {
         let bias = random_matrix(&mut rng, 1, 10);
         let kept_k = vec![1, 2, 5, 6, 9, 11, 14];
         let crs_scale = 15.0f32 / 7.0;
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = SelectScratch::default();
         for act in ACTIVATIONS {
             let mut reference = Matrix::zeros(0, 0);
-            gather_k_gemm_into(&a, &w, &kept_k, &mut scratch, &mut reference).unwrap();
+            select_gemm_into(&a, &w, None, Some(&kept_k), &mut scratch, &mut reference).unwrap();
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
                 crate::simd::scale_add_bias(row, crs_scale, bias.row(0));
                 act.apply_slice(row);
             }
-            let mut fused = Matrix::zeros(0, 0);
-            gather_k_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept_k,
-                &bias,
-                crs_scale,
-                act,
-                &mut scratch,
-                &mut fused,
-            )
-            .unwrap();
+            let fused =
+                select_fused(&a, &w, None, Some(&kept_k), &bias, crs_scale, 1.0, act).unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2400,10 +1804,8 @@ mod tests {
         let kept_cols = vec![1, 2, 5, 8];
         let crs_scale = 2.0f32;
         let row_scale = 1.8f32;
-        let mut scratch = GatherKScratch::default();
         for act in ACTIVATIONS {
-            let mut reference = Matrix::zeros(0, 0);
-            gather_nk_gemm_into(&a, &w, &kept_k, &kept_cols, &mut scratch, &mut reference).unwrap();
+            let mut reference = select(&a, &w, Some(&kept_cols), Some(&kept_k));
             let brow = bias.row(0);
             for i in 0..reference.rows() {
                 let row = reference.row_mut(i);
@@ -2412,20 +1814,8 @@ mod tests {
                 }
                 act.apply_slice(row);
             }
-            let mut fused = Matrix::zeros(0, 0);
-            gather_nk_gemm_bias_act_into(
-                &a,
-                &w,
-                &kept_k,
-                &kept_cols,
-                &bias,
-                crs_scale,
-                row_scale,
-                act,
-                &mut scratch,
-                &mut fused,
-            )
-            .unwrap();
+            let (n, k) = (Some(kept_cols.as_slice()), Some(kept_k.as_slice()));
+            let fused = select_fused(&a, &w, n, k, &bias, crs_scale, row_scale, act).unwrap();
             assert_eq!(fused, reference, "{act:?}");
         }
     }
@@ -2435,21 +1825,9 @@ mod tests {
         let a = Matrix::ones(2, 4);
         let w = Matrix::ones(4, 3);
         let bias = Matrix::zeros(1, 3);
-        let mut scratch = GatherKScratch::default();
-        let mut out = Matrix::zeros(0, 0);
-        gather_nk_gemm_bias_act_into(
-            &a,
-            &w,
-            &[0, 2],
-            &[1],
-            &bias,
-            2.0,
-            1.0,
-            Activation::Sigmoid,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        let sigmoid = Activation::Sigmoid;
+        let out =
+            select_fused(&a, &w, Some(&[1]), Some(&[0, 2]), &bias, 2.0, 1.0, sigmoid).unwrap();
         assert_eq!(out[(0, 0)], 0.5);
         assert!((out[(0, 1)] - Activation::Sigmoid.apply(4.0)).abs() < 1e-6);
     }
@@ -2481,9 +1859,7 @@ mod tests {
         let mut dx_ref = naive_gemm(&g, &w_masked.transpose()).unwrap();
         dx_ref.map_inplace(|v| v * scale);
 
-        let mut scratch = GatherKScratch::default();
-        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        gather_k_backward_into(&x, &g, &w, &kept_k, scale, &mut scratch, &mut dw, &mut dx).unwrap();
+        let (dw, dx) = select_backward(&x, &g, &w, None, Some(&kept_k), scale);
         assert_eq!(dw.shape(), (13, 10));
         assert_eq!(dx.shape(), (8, 13));
         assert!(crate::approx_eq_slice(
@@ -2541,20 +1917,7 @@ mod tests {
         let mut dx_ref = naive_gemm(&g_masked, &w_masked.transpose()).unwrap();
         dx_ref.map_inplace(|v| v * scale);
 
-        let mut scratch = GatherKScratch::default();
-        let (mut dw, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        gather_nk_backward_into(
-            &x,
-            &g,
-            &w,
-            &kept_k,
-            &kept_cols,
-            scale,
-            &mut scratch,
-            &mut dw,
-            &mut dx,
-        )
-        .unwrap();
+        let (dw, dx) = select_backward(&x, &g, &w, Some(&kept_cols), Some(&kept_k), scale);
         assert!(crate::approx_eq_slice(
             dw.as_slice(),
             dw_ref.as_slice(),
@@ -2575,14 +1938,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(105);
         let a = random_matrix(&mut rng, 6, 16);
         let w = random_matrix(&mut rng, 16, 8);
-        let mut scratch = GatherKScratch::default();
+        let mut scratch = SelectScratch::default();
         let mut out = Matrix::zeros(0, 0);
-        gather_k_gemm_into(&a, &w, &[0, 2, 4, 6, 8, 10], &mut scratch, &mut out).unwrap();
+        let kept_a = [0, 2, 4, 6, 8, 10];
+        select_gemm_into(&a, &w, None, Some(&kept_a), &mut scratch, &mut out).unwrap();
         let a_ptr = scratch.a_kept.as_slice().as_ptr();
         let w_ptr = scratch.w_kept.as_slice().as_ptr();
         let out_ptr = out.as_slice().as_ptr();
         // Second call with the same kept-count: every buffer is reused.
-        gather_k_gemm_into(&a, &w, &[1, 3, 5, 7, 9, 11], &mut scratch, &mut out).unwrap();
+        let kept_b = [1, 3, 5, 7, 9, 11];
+        select_gemm_into(&a, &w, None, Some(&kept_b), &mut scratch, &mut out).unwrap();
         assert_eq!(a_ptr, scratch.a_kept.as_slice().as_ptr());
         assert_eq!(w_ptr, scratch.w_kept.as_slice().as_ptr());
         assert_eq!(out_ptr, out.as_slice().as_ptr());
@@ -2592,7 +1957,7 @@ mod tests {
     fn gather_k_with_no_indices_is_zero() {
         let a = Matrix::ones(3, 5);
         let w = Matrix::ones(5, 4);
-        let c = gather_k_gemm(&a, &w, &[]).unwrap();
+        let c = select(&a, &w, None, Some(&[]));
         assert_eq!(c.shape(), (3, 4));
         assert_eq!(c.sum(), 0.0);
     }
@@ -2602,12 +1967,72 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let w = Matrix::zeros(3, 4);
         let g = Matrix::zeros(2, 4);
-        let mut scratch = GatherKScratch::default();
-        let mut out = Matrix::zeros(0, 0);
-        assert!(gather_k_gemm(&a, &w, &[3]).is_err());
-        assert!(gather_k_gemm_at_b_into(&a, &g, &[3], 1.0, &mut scratch, &mut out).is_err());
-        assert!(gather_k_gemm_a_bt_into(&g, &w, &[3], 1.0, &mut scratch, &mut out).is_err());
-        assert!(gather_nk_gemm_into(&a, &w, &[3], &[0], &mut scratch, &mut out).is_err());
-        assert!(gather_nk_gemm_into(&a, &w, &[0], &[4], &mut scratch, &mut out).is_err());
+        let mut scratch = SelectScratch::default();
+        let (mut out, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut forward = |n: Option<&[usize]>, k: Option<&[usize]>| {
+            select_gemm_into(&a, &w, n, k, &mut scratch, &mut out).is_err()
+        };
+        assert!(forward(None, Some(&[3])));
+        assert!(forward(Some(&[0]), Some(&[3])));
+        assert!(forward(Some(&[4]), Some(&[0])));
+        assert!(select_backward_into(
+            &a,
+            &g,
+            &w,
+            None,
+            Some(&[3]),
+            1.0,
+            &mut scratch,
+            &mut out,
+            &mut dx
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn select_rejects_unsorted_or_duplicate_indices() {
+        // A repeated index would count a column (or an inner product) twice
+        // and an unsorted one would scatter out of order: both axes, every
+        // entry point, reject them instead of computing a wrong result.
+        let mut rng = StdRng::seed_from_u64(107);
+        let a = random_matrix(&mut rng, 3, 6);
+        let w = random_matrix(&mut rng, 6, 5);
+        let g = random_matrix(&mut rng, 3, 5);
+        let bias = Matrix::zeros(1, 5);
+        let mut scratch = SelectScratch::default();
+        let (mut out, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let bad: [&[usize]; 2] = [&[0, 0, 2], &[2, 1]];
+        for sel in bad {
+            for (n, k) in [(Some(sel), None), (None, Some(sel))] {
+                let err = select_gemm_into(&a, &w, n, k, &mut scratch, &mut out).unwrap_err();
+                assert!(err.to_string().contains("strictly ascending"), "{err}");
+                let relu = Activation::Relu;
+                assert!(select_fused(&a, &w, n, k, &bias, 1.0, 1.0, relu).is_err());
+                let backward =
+                    select_backward_into(&a, &g, &w, n, k, 1.0, &mut scratch, &mut out, &mut dx);
+                assert!(backward.is_err(), "{sel:?}");
+            }
+        }
+        // An output scale without an output selection has nowhere to go.
+        let relu = Activation::Relu;
+        assert!(select_fused(&a, &w, None, Some(&[0, 1]), &bias, 1.0, 2.0, relu).is_err());
+    }
+
+    #[test]
+    fn select_without_selections_is_the_dense_kernels_bitwise() {
+        let mut rng = StdRng::seed_from_u64(109);
+        let x = random_matrix(&mut rng, 9, 7);
+        let w = random_matrix(&mut rng, 7, 6);
+        let g = random_matrix(&mut rng, 9, 6);
+        let bias = random_matrix(&mut rng, 1, 6);
+        assert_eq!(select(&x, &w, None, None), blocked_gemm(&x, &w).unwrap());
+        let fused = select_fused(&x, &w, None, None, &bias, 1.0, 1.0, Activation::Tanh).unwrap();
+        assert_eq!(
+            fused,
+            gemm_bias_act(&x, &w, &bias, Activation::Tanh).unwrap()
+        );
+        let (dw, dx) = select_backward(&x, &g, &w, None, None, 1.0);
+        assert_eq!(dw, gemm_at_b(&x, &g).unwrap());
+        assert_eq!(dx, gemm_a_bt(&g, &w).unwrap());
     }
 }

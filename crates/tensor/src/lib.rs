@@ -43,15 +43,9 @@ pub mod simd;
 pub mod tune;
 
 pub use gemm::{
-    blocked_gemm, blocked_gemm_into, gather_cols_backward_into, gather_cols_gemm_a_bt_into,
-    gather_cols_gemm_at_b_into, gather_cols_gemm_bias_act_into, gather_cols_gemm_into,
-    gather_k_backward_into, gather_k_gemm, gather_k_gemm_a_bt_into, gather_k_gemm_at_b_into,
-    gather_k_gemm_bias_act_into, gather_k_gemm_into, gather_nk_backward_into,
-    gather_nk_gemm_bias_act_into, gather_nk_gemm_into, gemm_a_bt, gemm_a_bt_into, gemm_at_b,
-    gemm_at_b_into, gemm_bias_act, gemm_bias_act_into, gemm_epilogue_into, naive_gemm,
-    nm_compact_gemm, nm_compact_gemm_bias_act_into, nm_compact_gemm_into, row_compact_gemm,
-    row_compact_gemm_into, Activation, Epilogue, GatherColsScratch, GatherKScratch, GemmError,
-    RowCompactScratch,
+    blocked_gemm, blocked_gemm_into, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_at_b_into,
+    gemm_bias_act, gemm_bias_act_into, gemm_epilogue_into, naive_gemm, select_backward_into,
+    select_gemm_bias_act_into, select_gemm_into, Activation, Epilogue, GemmError, SelectScratch,
 };
 pub use init::{gaussian, uniform, xavier_uniform};
 pub use matrix::{Matrix, ShapeError};

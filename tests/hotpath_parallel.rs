@@ -14,10 +14,8 @@ use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tensor::{
-    blocked_gemm, gather_cols_backward_into, gather_cols_gemm_bias_act_into,
-    gather_k_backward_into, gather_k_gemm_bias_act_into, gather_k_gemm_into, gemm_a_bt, gemm_at_b,
-    init, pool, row_compact_gemm, Activation, GatherColsScratch, GatherKScratch, Matrix,
-    RowCompactScratch,
+    blocked_gemm, gemm_a_bt, gemm_at_b, init, pool, select_backward_into,
+    select_gemm_bias_act_into, select_gemm_into, Activation, Matrix, SelectScratch,
 };
 
 /// The system allocator, counting the allocations made on each thread so a
@@ -90,26 +88,29 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
     let tile_bias = init::uniform(&mut rng, 1, 53, -0.5, 0.5);
     let run_kernels = || -> Vec<(&str, Matrix)> {
         let mut block_fwd = Matrix::zeros(0, 0);
-        gather_cols_gemm_bias_act_into(
+        select_gemm_bias_act_into(
             &b,
             &w2,
-            &block_cols,
+            Some(&block_cols),
+            None,
             &tile_bias,
+            1.0,
             2.0,
             Activation::Relu,
-            &mut RowCompactScratch::default(),
+            &mut SelectScratch::default(),
             &mut block_fwd,
         )
         .unwrap();
         let mut block_dw = Matrix::zeros(0, 0);
         let mut block_dx = Matrix::zeros(0, 0);
-        gather_cols_backward_into(
+        select_backward_into(
             &b,
             &g2,
             &w2,
-            &block_cols,
+            Some(&block_cols),
+            None,
             2.0,
-            &mut GatherColsScratch::default(),
+            &mut SelectScratch::default(),
             &mut block_dw,
             &mut block_dx,
         )
@@ -121,14 +122,16 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
         let mut tile_dx = Matrix::zeros(0, 0);
         tile_layer.backward_into(&g2, &mut tile_dx);
         let tile_dw = tile_layer.weight_grad().clone();
-        let mut crs_scratch = GatherKScratch::default();
+        let mut crs_scratch = SelectScratch::default();
         let mut crs_fwd = Matrix::zeros(0, 0);
-        gather_k_gemm_bias_act_into(
+        select_gemm_bias_act_into(
             &a,
             &b,
-            &kept_k,
+            None,
+            Some(&kept_k),
             &bias,
             53.0 / kept_k.len() as f32,
+            1.0,
             Activation::Relu,
             &mut crs_scratch,
             &mut crs_fwd,
@@ -136,25 +139,58 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
         .unwrap();
         let mut crs_dw = Matrix::zeros(0, 0);
         let mut crs_dx = Matrix::zeros(0, 0);
-        gather_k_backward_into(
+        select_backward_into(
             &a,
             &g,
             &b,
-            &kept_k,
+            None,
+            Some(&kept_k),
             53.0 / kept_k.len() as f32,
             &mut crs_scratch,
             &mut crs_dw,
             &mut crs_dx,
         )
         .unwrap();
+        // Both axes at once: the row×CRS selection over the same operands.
+        let mut nk_fwd = Matrix::zeros(0, 0);
+        select_gemm_into(
+            &a,
+            &b,
+            Some(&kept_cols[..13]),
+            Some(&kept_k),
+            &mut crs_scratch,
+            &mut nk_fwd,
+        )
+        .unwrap();
+        let mut nk_dw = Matrix::zeros(0, 0);
+        let mut nk_dx = Matrix::zeros(0, 0);
+        select_backward_into(
+            &a,
+            &g,
+            &b,
+            Some(&kept_cols[..13]),
+            Some(&kept_k),
+            1.5,
+            &mut crs_scratch,
+            &mut nk_dw,
+            &mut nk_dx,
+        )
+        .unwrap();
+        let mut row_compact = Matrix::zeros(0, 0);
+        select_gemm_into(
+            &b,
+            &w2,
+            Some(&kept_cols),
+            None,
+            &mut SelectScratch::default(),
+            &mut row_compact,
+        )
+        .unwrap();
         vec![
             ("dense GEMM", blocked_gemm(&a, &b).unwrap()),
             ("AᵀB", gemm_at_b(&a, &g).unwrap()),
             ("ABᵀ", gemm_a_bt(&a, &w2).unwrap()),
-            (
-                "row-compact",
-                row_compact_gemm(&b, &w2, &kept_cols).unwrap(),
-            ),
+            ("row-compact", row_compact),
             ("tile forward", tile_fwd),
             ("tile dW", tile_dw),
             ("tile dX", tile_dx),
@@ -164,6 +200,9 @@ fn parallel_execution_is_bitwise_identical_to_serial() {
             ("fused K-gather GEMM", crs_fwd),
             ("K-gather dW", crs_dw),
             ("K-gather dX", crs_dx),
+            ("N×K-gather GEMM", nk_fwd),
+            ("N×K-gather dW", nk_dw),
+            ("N×K-gather dX", nk_dx),
         ]
     };
     pool::set_threads(1);
@@ -538,7 +577,7 @@ fn warmed_linear_step_allocates_nothing_for_every_family() {
     }
 }
 
-/// The K-gather scratch type rides the same recycling contract as the other
+/// The selection scratch rides the same recycling contract as the other
 /// workspaces: once warmed for a shape, repeated calls with a *different*
 /// kept set of the same size move no output allocation.
 #[test]
@@ -550,20 +589,21 @@ fn gather_k_output_buffers_are_recycled_across_kept_sets() {
     let kept_a: Vec<usize> = (0..24).step_by(2).collect();
     let kept_b: Vec<usize> = (1..24).step_by(2).collect();
 
-    let mut scratch = GatherKScratch::default();
+    let mut scratch = SelectScratch::default();
     let mut out = Matrix::default();
-    gather_k_gemm_into(&a, &w, &kept_a, &mut scratch, &mut out).unwrap();
-    let mut dw = Matrix::default();
-    let mut dx = Matrix::default();
-    gather_k_backward_into(&a, &g, &w, &kept_a, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
+    let (mut dw, mut dx) = (Matrix::default(), Matrix::default());
+    let mut step = |kept: &[usize], out: &mut Matrix, dw: &mut Matrix, dx: &mut Matrix| {
+        select_gemm_into(&a, &w, None, Some(kept), &mut scratch, out).unwrap();
+        select_backward_into(&a, &g, &w, None, Some(kept), 2.0, &mut scratch, dw, dx).unwrap();
+    };
+    step(&kept_a, &mut out, &mut dw, &mut dx);
     let (out_ptr, dw_ptr, dx_ptr) = (
         out.as_slice().as_ptr(),
         dw.as_slice().as_ptr(),
         dx.as_slice().as_ptr(),
     );
 
-    gather_k_gemm_into(&a, &w, &kept_b, &mut scratch, &mut out).unwrap();
-    gather_k_backward_into(&a, &g, &w, &kept_b, 2.0, &mut scratch, &mut dw, &mut dx).unwrap();
+    step(&kept_b, &mut out, &mut dw, &mut dx);
     assert_eq!(
         out_ptr,
         out.as_slice().as_ptr(),

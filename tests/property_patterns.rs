@@ -83,8 +83,10 @@ fn tile_pattern_partitions_grid() {
     });
 }
 
-/// Row-compacted GEMM equals the dense GEMM with dropped columns zeroed,
-/// for arbitrary shapes and kept sets.
+/// The selection GEMM equals the dense GEMM with the unselected output
+/// columns of `W` and inner indices of `A` zeroed, for arbitrary shapes and
+/// kept sets: a row pattern's kept columns (N), a random inner subset (K),
+/// and both at once (N×K).
 #[test]
 fn row_compact_gemm_matches_masked_dense() {
     for_each_case(4, |seed, rng| {
@@ -96,24 +98,41 @@ fn row_compact_gemm_matches_masked_dense() {
         let w = init::uniform(rng, k, n, -1.0, 1.0);
         let pattern = RowPattern::new(dp, 0).unwrap();
         let kept = pattern.kept_rows(n);
-        let compact = gemm::row_compact_gemm(&a, &w, &kept).unwrap();
-        let mut masked = w.clone();
-        for j in 0..n {
-            if !kept.contains(&j) {
-                for p in 0..k {
-                    masked[(p, j)] = 0.0;
+        let kept_k: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.6)).collect();
+        let (n_all, k_all): (Option<&[usize]>, Option<&[usize]>) = (None, None);
+        let cases = [
+            ("N", Some(kept.as_slice()), k_all),
+            ("K", n_all, Some(kept_k.as_slice())),
+            ("N×K", Some(kept.as_slice()), Some(kept_k.as_slice())),
+        ];
+        for (label, n_sel, k_sel) in cases {
+            let mut compact = Matrix::default();
+            let mut scratch = gemm::SelectScratch::default();
+            gemm::select_gemm_into(&a, &w, n_sel, k_sel, &mut scratch, &mut compact).unwrap();
+            let a_masked = Matrix::from_fn(m, k, |i, p| {
+                if k_sel.map_or(true, |s| s.contains(&p)) {
+                    a[(i, p)]
+                } else {
+                    0.0
                 }
-            }
+            });
+            let w_masked = Matrix::from_fn(k, n, |p, j| {
+                if n_sel.map_or(true, |s| s.contains(&j)) {
+                    w[(p, j)]
+                } else {
+                    0.0
+                }
+            });
+            let reference = gemm::naive_gemm(&a_masked, &w_masked).unwrap();
+            assert!(
+                approx_random_dropout::tensor::approx_eq_slice(
+                    compact.as_slice(),
+                    reference.as_slice(),
+                    1e-3
+                ),
+                "{label} case seed {seed}"
+            );
         }
-        let reference = gemm::naive_gemm(&a, &masked).unwrap();
-        assert!(
-            approx_random_dropout::tensor::approx_eq_slice(
-                compact.as_slice(),
-                reference.as_slice(),
-                1e-3
-            ),
-            "case seed {seed}"
-        );
     });
 }
 

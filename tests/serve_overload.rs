@@ -4,8 +4,9 @@
 //! split contract of completed jobs.
 
 use serve::{
-    AdmissionError, AutoscaleConfig, Autoscaler, BatchPolicy, JobKind, JobSpec, ModelSpec, Push,
-    QosClass, QosWeights, ScaleDecision, SchemeSpec, ServeConfig, Server, ShardedQueue,
+    AdmissionError, AutoscaleConfig, Autoscaler, BatchPolicy, InvalidJob, JobKind, JobSpec,
+    ModelSpec, Push, QosClass, QosWeights, ScaleDecision, SchemeSpec, ServeConfig, Server,
+    ShardedQueue,
 };
 use std::time::{Duration, Instant};
 
@@ -266,14 +267,15 @@ fn bounded_server_never_drops_interactive_jobs() {
         match outcome {
             Err(AdmissionError::Rejected { .. }) => flood_lost += 1,
             Err(AdmissionError::Shed { .. }) => unreachable!("submit never returns Shed"),
+            Err(AdmissionError::Invalid(why)) => unreachable!("flood jobs are valid: {why:?}"),
             Ok(rx) => match rx.recv().expect("worker answers every admitted job") {
                 Ok(_) => {}
                 Err(AdmissionError::Shed { by }) => {
                     assert_eq!(by, QosClass::Interactive, "only interactive arrivals evict");
                     flood_lost += 1;
                 }
-                Err(AdmissionError::Rejected { .. }) => {
-                    unreachable!("reply channels never carry Rejected")
+                Err(AdmissionError::Rejected { .. } | AdmissionError::Invalid(_)) => {
+                    unreachable!("reply channels never carry Rejected or Invalid")
                 }
             },
         }
@@ -287,5 +289,49 @@ fn bounded_server_never_drops_interactive_jobs() {
         report.shed + report.rejected,
         flood_lost,
         "the report must account for every lost flood job"
+    );
+}
+
+/// A malformed job is refused at `submit` with a typed error instead of
+/// panicking its worker: a valid job submitted after it on the same shard
+/// still gets its reply, and `shutdown` returns.
+#[test]
+fn invalid_jobs_are_rejected_at_submit_and_later_jobs_are_served() {
+    let config = ServeConfig::builder()
+        .workers(1)
+        .policy(BatchPolicy::PerRequest)
+        .build()
+        .expect("test config is valid");
+    let server = Server::start(config, tiny_catalog());
+    let client = server.client();
+    let unknown_model = JobSpec {
+        model: 7,
+        ..job(1, 1, JobKind::Train, QosClass::Interactive)
+    };
+    assert_eq!(
+        client.submit(unknown_model).err(),
+        Some(AdmissionError::Invalid(InvalidJob::UnknownModel {
+            model: 7,
+            catalog: 1
+        }))
+    );
+    let no_rows = JobSpec {
+        rows: 0,
+        ..job(1, 2, JobKind::Infer, QosClass::Interactive)
+    };
+    assert_eq!(
+        client.submit(no_rows).err(),
+        Some(AdmissionError::Invalid(InvalidJob::NoRows))
+    );
+    let reply = client
+        .submit(job(1, 3, JobKind::Train, QosClass::Interactive))
+        .expect("a valid job is admitted")
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker survived the invalid jobs and answers");
+    assert!(reply.is_ok(), "{reply:?}");
+    let report = server.shutdown();
+    assert_eq!(
+        report.rejected, 0,
+        "invalid jobs are not overload rejections"
     );
 }
