@@ -4,8 +4,8 @@
 //! seeding the perf trajectory the ROADMAP calls for:
 //!
 //! 1. the *seed* cache-blocked GEMM (per-element `Index` ops + zero-skip
-//!    branch, reproduced verbatim below) versus the packed micro-kernel
-//!    pipeline, single-threaded — the kernel-rewrite speedup;
+//!    branch, reproduced verbatim below) versus the register-tiled
+//!    kernels, single-threaded — the kernel-rewrite speedup;
 //! 2. the packed dense GEMM at 1/2/4 threads — batch-dimension scaling;
 //! 3. the row-compacted kernel and the tile layer forward at a dp=2 pattern
 //!    versus the dense kernel — the speedup the paper's compaction is
@@ -161,7 +161,7 @@ fn main() {
     });
     eprintln!("seed blocked gemm      {:>10.3} ms", seed_secs * 1e3);
 
-    // 1b. SIMD micro-kernel effect, single-threaded: the same packed
+    // 1b. SIMD effect, single-threaded: the same register-tiled
     //     kernels with the runtime dispatch forced to the scalar fallback
     //     versus the active level — the pure vectorisation win, no pool.
     //     Under `--no-simd` / `TENSOR_SIMD=0` both sides run the scalar

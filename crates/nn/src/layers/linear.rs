@@ -8,7 +8,7 @@
 //!
 //! * [`ExecPath::Select`] — one selection per GEMM axis, run by the
 //!   selection kernels of `tensor::gemm`: they pack the selected panel, run
-//!   the dense micro-kernel over it and scatter the result back. The N axis
+//!   the dense tile kernel over it and scatter the result back. The N axis
 //!   selects kept output neurons: the Row-based Dropout Pattern, N:M
 //!   structured sparsity (its group structure validated where the plan is
 //!   built), and block-structured unit dropout with its kept blocks

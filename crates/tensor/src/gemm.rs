@@ -8,7 +8,7 @@
 //! equivalent here is one selection per GEMM axis: [`select_gemm_into`],
 //! [`select_gemm_bias_act_into`] and [`select_backward_into`] take a kept
 //! output-column set (`n_sel`) and a kept inner-index set (`k_sel`), pack
-//! the selected panel, run the dense micro-kernel over it and scatter the
+//! the selected panel, run the dense tile kernel over it and scatter the
 //! result back. Every family that keeps whole output neurons (row, N:M, and
 //! block dropout expanded to its kept columns) selects on N; column-row
 //! sampling (CRS) selects on K; row×CRS selects on both. Tile dropout runs
@@ -19,32 +19,50 @@
 //!
 //! # Kernel architecture
 //!
-//! Every production kernel is built from slice-based packed micro-kernels
-//! (`axpy`, `axpy4`, `dot`) that dispatch through [`crate::simd`] to
-//! runtime-detected vector kernels (AVX2/AVX-512/NEON, scalar fallback —
-//! bitwise identical at every level, see the `simd` module docs): the
-//! inner loops never touch the bounds-checked `(i, j)` `Index` operator and
-//! the dense path carries no per-element `aip == 0.0` branch (skipping zeros
-//! is the compacted kernels' job — a data-dependent branch in the dense loop
-//! defeats SIMD exactly like warp divergence defeats the GPU kernel in the
-//! paper's Fig. 1(b)). Cache-blocking parameters come from [`crate::tune`]
-//! (autotuned per shape class; `KC = 128` remains the default). Each kernel
-//! has
+//! The three dense products — `C = A·B` ([`blocked_gemm_into`], which also
+//! runs under every fused and selection kernel), `C = Aᵀ·B`
+//! ([`gemm_at_b_into`]) and `C = A·Bᵀ` ([`gemm_a_bt_into`]) — run one
+//! tiled loop nest over register tiles, instantiated per instruction set
+//! through [`crate::simd`] (AVX-512, AVX2, NEON and a scalar fallback),
+//! and the results are bitwise identical at every level (see the `simd`
+//! module docs):
 //!
-//! * an allocating entry point (`blocked_gemm`, `gemm_at_b`, …) and a
-//!   `*_into` variant that writes into a caller-owned output buffer so the
-//!   training hot path can recycle allocations across iterations,
+//! * **A·B and Aᵀ·B.** An `MR × NR` block of `C` (4×32 on AVX-512, 4×16 on
+//!   AVX2) is held in vector registers across one KC block of `k`, and for
+//!   Aᵀ·B across the whole batch. It is loaded once and stored once. Each
+//!   step reads NR-wide rows of `B` and broadcasts MR values of `A`. Aᵀ·B is
+//!   the same tile reading `A` down its columns.
+//! * **A·Bᵀ.** A block of 8-lane dot accumulators (4×8 dots on AVX-512, two
+//!   per `zmm`; 3×3 on AVX2), each reduced in the 8-lane `dot` order.
+//!
+//! Edge tiles run the same micro-tile instantiated at their size; a partial
+//! register uses masked loads and stores. A tile starts from `+0.0` and
+//! writes every element it covers, so the outputs are resized without a
+//! zero fill. Column tiles are the outer loop: the `B` panel of a column
+//! tile stays in L1 while the row tiles pass over it. Cache blocking on top
+//! comes from [`crate::tune`] (autotuned per shape class; `KC = 128` remains
+//! the default), and no tile crosses a block edge. The inner loops never
+//! touch the bounds-checked `(i, j)` `Index` operator, and the dense path
+//! carries no per-element `aip == 0.0` branch: skipping zeros is the
+//! compacted kernels' job, and a data-dependent branch in the dense loop
+//! defeats SIMD exactly like warp divergence defeats the GPU kernel in the
+//! paper's Fig. 1(b). Around the tiles:
+//!
+//! * every kernel writes through a `*_into` entry point into a caller-owned
+//!   output buffer, so the training hot path can recycle allocations across
+//!   iterations; the dense products also have allocating forms
+//!   (`blocked_gemm`, `gemm_at_b`, …), the `select_*` kernels do not,
 //! * transposed-operand variants [`gemm_at_b`] (`C = Aᵀ·B`) and
 //!   [`gemm_a_bt`] (`C = A·Bᵀ`) so backward passes never materialise a
 //!   `transpose()`,
 //! * batch-dimension parallelism: output rows are split across the
 //!   [`crate::pool`] worker threads. Every output row is produced by exactly
-//!   one worker running the same per-row instruction sequence as the serial
-//!   kernel, so results are bitwise identical for any thread count.
+//!   one worker, and no element's arithmetic depends on which rows share its
+//!   tile, so results are bitwise identical for any thread count.
 
 use crate::matrix::Matrix;
 use crate::pool;
-use crate::simd;
+use crate::simd::{self, DotVec, Isa, Kernel, TileVec};
 use crate::tune::{self, Blocking};
 use std::fmt;
 use std::ops::Range;
@@ -83,32 +101,293 @@ fn check_inner(a: &Matrix, b: &Matrix) -> Result<(), GemmError> {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernels
+// Register tiles
 // ---------------------------------------------------------------------------
 
-/// `c += alpha * b`, elementwise over equal-length slices. Dispatches to the
-/// active [`crate::simd`] kernel (bitwise identical at every level).
-#[inline]
-fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
-    simd::axpy(c, alpha, b);
+/// Operands of one A·B or Aᵀ·B tile: `A[r][p]` at `a + r·a_rs + p·a_ks`,
+/// `B[p][c]` at `b + p·ldb + c`, `C[r][c]` at `c + r·ldc + c`, over `k`
+/// inner terms.
+#[derive(Clone, Copy)]
+struct AxpyArgs {
+    a: *const f32,
+    a_rs: usize,
+    a_ks: usize,
+    b: *const f32,
+    ldb: usize,
+    k: usize,
+    c: *mut f32,
+    ldc: usize,
+    /// Add to the stored tile (a later KC block) instead of starting from
+    /// `+0.0`.
+    accumulate: bool,
 }
 
-/// `c += a0*b0 + a1*b1 + a2*b2 + a3*b3`: a four-row panel update, the unit of
-/// work the dense kernels are unrolled around (enough independent chains to
-/// keep the SIMD units busy without spilling accumulators). Dispatches to the
-/// active [`crate::simd`] kernel.
-#[inline]
-fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    simd::axpy4(c, alpha, b0, b1, b2, b3);
+/// One register of a tile row: the first `tail` lanes when `partial`.
+///
+/// # Safety
+///
+/// As for [`TileVec::load`] and [`TileVec::load_partial`].
+#[inline(always)]
+unsafe fn load_reg<V: TileVec>(p: *const f32, partial: bool, tail: usize) -> V {
+    if partial {
+        V::load_partial(p, tail)
+    } else {
+        V::load(p)
+    }
 }
 
-/// Dot product with eight independent accumulator lanes so the reduction
-/// vectorises; the building block of [`gemm_a_bt`]. Dispatches to the
-/// active [`crate::simd`] kernel, which preserves the 8-lane accumulation
-/// order bitwise.
-#[inline]
-fn dot(x: &[f32], y: &[f32]) -> f32 {
-    simd::dot(x, y)
+/// One `R × NV` register tile of `C += A·B`: the tile is loaded (or set to
+/// `+0.0`) once, then each step reads NV-register rows of `B` and
+/// broadcasts R values of `A`, and the tile is stored once. Every element
+/// sees the same arithmetic at every tile size: each quad of `p` is added as
+/// `c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)`, each leftover term as
+/// `c + a·b`. With `PARTIAL` the last register holds only `tail` columns.
+///
+/// # Safety
+///
+/// The CPU must support `V`, and `args` must address an `R × width` tile
+/// inside its operands.
+#[inline(always)]
+unsafe fn axpy_tile<V: TileVec, const R: usize, const NV: usize, const PARTIAL: bool>(
+    args: AxpyArgs,
+    tail: usize,
+) {
+    let AxpyArgs {
+        a,
+        a_rs,
+        a_ks,
+        b,
+        ldb,
+        k,
+        c,
+        ldc,
+        accumulate,
+    } = args;
+    let last = |v: usize| PARTIAL && v == NV - 1;
+    let mut acc = [[V::zero(); NV]; R];
+    if accumulate {
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, reg) in row.iter_mut().enumerate() {
+                *reg = load_reg(c.add(r * ldc + v * V::LANES), last(v), tail);
+            }
+        }
+    }
+    let mut p = 0;
+    while p + 4 <= k {
+        let mut bq = [[V::zero(); NV]; 4];
+        for (q, row) in bq.iter_mut().enumerate() {
+            for (v, reg) in row.iter_mut().enumerate() {
+                *reg = load_reg(b.add((p + q) * ldb + v * V::LANES), last(v), tail);
+            }
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let ar = a.add(r * a_rs + p * a_ks);
+            let x0 = V::splat(*ar);
+            let x1 = V::splat(*ar.add(a_ks));
+            let x2 = V::splat(*ar.add(2 * a_ks));
+            let x3 = V::splat(*ar.add(3 * a_ks));
+            for (v, reg) in row.iter_mut().enumerate() {
+                let t = x0.mul(bq[0][v]).add(x1.mul(bq[1][v]));
+                let t = t.add(x2.mul(bq[2][v]));
+                let t = t.add(x3.mul(bq[3][v]));
+                *reg = reg.add(t);
+            }
+        }
+        p += 4;
+    }
+    while p < k {
+        let mut bp = [V::zero(); NV];
+        for (v, reg) in bp.iter_mut().enumerate() {
+            *reg = load_reg(b.add(p * ldb + v * V::LANES), last(v), tail);
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let x = V::splat(*a.add(r * a_rs + p * a_ks));
+            for (v, reg) in row.iter_mut().enumerate() {
+                *reg = reg.add(x.mul(bp[v]));
+            }
+        }
+        p += 1;
+    }
+    for (r, row) in acc.iter().enumerate() {
+        for (v, reg) in row.iter().enumerate() {
+            let p = c.add(r * ldc + v * V::LANES);
+            if last(v) {
+                reg.store_partial(p, tail);
+            } else {
+                reg.store(p);
+            }
+        }
+    }
+}
+
+/// A `rows × cols` block of `C += A·B`, `args` addressing its top-left
+/// tile. Running it dereferences the whole block, so one is only built
+/// over operands whose shapes were checked.
+struct AxpyBlock {
+    args: AxpyArgs,
+    rows: usize,
+    cols: usize,
+}
+
+impl Kernel for AxpyBlock {
+    /// Sweeps the block in `MR × NR` tiles, column tiles outer so each
+    /// `k × NR` panel of `B` stays in L1 while the row tiles pass over it.
+    /// Edge tiles run the same micro-tile instantiated at their size.
+    #[inline(always)]
+    unsafe fn run<I: Isa>(self) {
+        let AxpyBlock { args, rows, cols } = self;
+        let lanes = <I::Vec as TileVec>::LANES;
+        let nr = I::NV * lanes;
+        let mut j = 0;
+        while j < cols {
+            let width = nr.min(cols - j);
+            let nv = width.div_ceil(lanes);
+            let tail = width - (nv - 1) * lanes;
+            let mut i = 0;
+            while i < rows {
+                let t = AxpyArgs {
+                    a: args.a.add(i * args.a_rs),
+                    b: args.b.add(j),
+                    c: args.c.add(i * args.ldc + j),
+                    ..args
+                };
+                // Edge tiles are the same micro-tile at a smaller `R`/`NV`.
+                macro_rules! tile {
+                    ($($r:literal => [$($nv:literal),*]),*) => {
+                        match (I::MR.min(rows - i), nv, tail < lanes) {
+                            $($(
+                                ($r, $nv, false) => axpy_tile::<I::Vec, $r, $nv, false>(t, tail),
+                                ($r, $nv, true) => axpy_tile::<I::Vec, $r, $nv, true>(t, tail),
+                            )*)*
+                            _ => unreachable!("A·B tiles are at most 4 × 2 registers"),
+                        }
+                    };
+                }
+                tile!(1 => [1, 2], 2 => [1, 2], 3 => [1, 2], 4 => [1, 2]);
+                i += I::MR;
+            }
+            j += nr;
+        }
+    }
+}
+
+/// Operands of one A·Bᵀ tile: row `r` of `A` at `a + r·lda`, row `c` of
+/// `B` at `b + c·ldb`, both `k` long; `C[r][c]` at `c + r·ldc + c`.
+#[derive(Clone, Copy)]
+struct DotArgs {
+    a: *const f32,
+    lda: usize,
+    b: *const f32,
+    ldb: usize,
+    k: usize,
+    c: *mut f32,
+    ldc: usize,
+}
+
+/// One `R × CG` block of dot accumulators of `C = A·Bᵀ`, `CG · DOTS`
+/// output columns of which the first `cols` are stored. Each output keeps
+/// the 8-lane `dot` order: eight lane sums over the 8-wide chunks of
+/// `k`, added in lane order onto `+0.0`, then the leftover terms in order.
+///
+/// # Safety
+///
+/// The CPU must support `D`, and `args` must address an `R × cols` tile
+/// inside its operands.
+#[inline(always)]
+unsafe fn dot_tile<D: DotVec, const R: usize, const CG: usize>(args: DotArgs, cols: usize) {
+    let DotArgs {
+        a,
+        lda,
+        b,
+        ldb,
+        k,
+        c,
+        ldc,
+    } = args;
+    // A register's slots past `cols` re-read the last valid row of `B`.
+    let stride = |g: usize| if g * D::DOTS + 1 < cols { ldb } else { 0 };
+    let mut acc = [[D::zero(); CG]; R];
+    let chunks = k / 8;
+    for ch in 0..chunks {
+        let off = ch * 8;
+        let mut y = [D::zero(); CG];
+        for (g, reg) in y.iter_mut().enumerate() {
+            *reg = D::load_y(b.add(g * D::DOTS * ldb + off), stride(g));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let x = D::load_x(a.add(r * lda + off));
+            for (g, reg) in row.iter_mut().enumerate() {
+                *reg = reg.add(x.mul(y[g]));
+            }
+        }
+    }
+    let mut lanes = [0.0f32; 16];
+    for (r, row) in acc.iter().enumerate() {
+        let x = a.add(r * lda);
+        for (g, reg) in row.iter().enumerate() {
+            reg.store(lanes.as_mut_ptr());
+            for s in 0..D::DOTS {
+                let col = g * D::DOTS + s;
+                if col >= cols {
+                    break;
+                }
+                let y = b.add(col * ldb);
+                let mut sum = 0.0f32;
+                for &lane in &lanes[s * 8..s * 8 + 8] {
+                    sum += lane;
+                }
+                for t in chunks * 8..k {
+                    sum += *x.add(t) * *y.add(t);
+                }
+                *c.add(r * ldc + col) = sum;
+            }
+        }
+    }
+}
+
+/// A `rows × cols` block of `C = A·Bᵀ`, `args` addressing its top-left
+/// tile; built only over checked shapes, like [`AxpyBlock`].
+struct DotBlock {
+    args: DotArgs,
+    rows: usize,
+    cols: usize,
+}
+
+impl Kernel for DotBlock {
+    /// Sweeps the block in `DR × (DC·DOTS)` tiles, column tiles outer so
+    /// the `B` rows of a tile stay in L1 while the row tiles pass over
+    /// them.
+    #[inline(always)]
+    unsafe fn run<I: Isa>(self) {
+        let DotBlock { args, rows, cols } = self;
+        let dots = <I::Dot as DotVec>::DOTS;
+        let nc = I::DC * dots;
+        let mut j = 0;
+        while j < cols {
+            let width = nc.min(cols - j);
+            let mut i = 0;
+            while i < rows {
+                let t = DotArgs {
+                    a: args.a.add(i * args.lda),
+                    b: args.b.add(j * args.ldb),
+                    c: args.c.add(i * args.ldc + j),
+                    ..args
+                };
+                // Edge tiles are the same micro-tile at a smaller `R`/`CG`.
+                macro_rules! tile {
+                    ($($r:literal => [$($cg:literal),*]),*) => {
+                        match (I::DR.min(rows - i), width.div_ceil(dots)) {
+                            $($(($r, $cg) => dot_tile::<I::Dot, $r, $cg>(t, width),)*)*
+                            _ => unreachable!("A·Bᵀ tiles are at most 4 × 4 registers"),
+                        }
+                    };
+                }
+                tile!(1 => [1, 2, 3, 4], 2 => [1, 2, 3, 4], 3 => [1, 2, 3, 4], 4 => [1, 2, 3, 4]);
+                i += I::DR;
+            }
+            j += nc;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -146,50 +425,50 @@ pub fn naive_gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     Ok(c)
 }
 
-/// Per-row-chunk dense kernel: accumulates `chunk += A[rows] * B` with the
-/// panel-blocked, 4-way-unrolled micro-kernel. `chunk` must be zeroed by the
-/// caller and hold exactly `rows.len() * b.cols()` values.
+/// Per-row-chunk dense kernel: writes `chunk = A[rows] * B` (every element
+/// of `chunk`, which holds exactly `rows.len() * b.cols()` values) with the
+/// register-tiled micro-kernel.
 ///
 /// Blocking (`bl`) comes from [`tune::blocking`]: a `kc × nc` panel of `B`
 /// is reused across an `mc`-row block of the chunk before the kernel moves
 /// on, keeping the panel resident in L2 (the CPU analogue of staging a tile
-/// in shared memory). `bl.kc` is a multiple of 4, so the quad grouping
-/// boundaries sit at the same absolute `k` positions for every config and
-/// results are bitwise blocking-invariant (checked by a `tune` test).
+/// in shared memory); tiles never cross a block edge. `bl.kc` is a
+/// multiple of 4, so the quad grouping boundaries sit at the same absolute
+/// `k` positions for every config and results are bitwise
+/// blocking-invariant (checked by a `tune` test).
 fn dense_rows_kernel(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32], bl: Blocking) {
     let k = a.cols();
     let n = b.cols();
+    // Every block below lies inside `A[rows, ..]`, `B` and `chunk` given
+    // these shapes.
+    assert!(k == b.rows() && rows.end <= a.rows() && chunk.len() == rows.len() * n);
     let kc = if bl.kc == 0 { k } else { bl.kc }.max(1);
     let nc = if bl.nc == 0 { n } else { bl.nc }.max(1);
     let mc = if bl.mc == 0 { rows.len() } else { bl.mc }.max(1);
     for ii in (rows.start..rows.end).step_by(mc) {
         let i_end = (ii + mc).min(rows.end);
-        for pp in (0..k).step_by(kc) {
+        // With `k == 0` one empty block still runs: its tiles store the
+        // `+0.0` they start from.
+        for pp in (0..k.max(1)).step_by(kc) {
             let p_end = (pp + kc).min(k);
             for jj in (0..n).step_by(nc) {
                 let j_end = (jj + nc).min(n);
-                for i in ii..i_end {
-                    let local = i - rows.start;
-                    let apanel = &a.row(i)[pp..p_end];
-                    let crow = &mut chunk[local * n + jj..local * n + j_end];
-                    let mut quads = apanel.chunks_exact(4);
-                    let mut p = pp;
-                    for quad in &mut quads {
-                        axpy4(
-                            crow,
-                            [quad[0], quad[1], quad[2], quad[3]],
-                            &b.row(p)[jj..j_end],
-                            &b.row(p + 1)[jj..j_end],
-                            &b.row(p + 2)[jj..j_end],
-                            &b.row(p + 3)[jj..j_end],
-                        );
-                        p += 4;
-                    }
-                    for &alpha in quads.remainder() {
-                        axpy(crow, alpha, &b.row(p)[jj..j_end]);
-                        p += 1;
-                    }
-                }
+                let args = AxpyArgs {
+                    a: a.as_slice()[ii * k + pp..].as_ptr(),
+                    a_rs: k,
+                    a_ks: 1,
+                    b: b.as_slice()[pp * n + jj..].as_ptr(),
+                    ldb: n,
+                    k: p_end - pp,
+                    c: chunk[(ii - rows.start) * n + jj..].as_mut_ptr(),
+                    ldc: n,
+                    accumulate: pp > 0,
+                };
+                simd::dispatch(AxpyBlock {
+                    args,
+                    rows: i_end - ii,
+                    cols: j_end - jj,
+                });
             }
         }
     }
@@ -207,7 +486,7 @@ pub(crate) fn blocked_gemm_tuned_into(
     check_inner(a, b)?;
     let m = a.rows();
     let n = b.cols();
-    out.resize(m, n);
+    out.resize_for_overwrite(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         dense_rows_kernel(a, b, rows, chunk, bl);
     });
@@ -216,7 +495,8 @@ pub(crate) fn blocked_gemm_tuned_into(
 
 /// Packed, batch-parallel GEMM, `C = A * B`, writing into `out`.
 ///
-/// `out` is resized (reusing its buffer when capacity allows) and zeroed.
+/// `out` is resized (reusing its buffer when capacity allows) and every
+/// element overwritten; it is never zero-filled first.
 ///
 /// # Errors
 ///
@@ -225,7 +505,7 @@ pub fn blocked_gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(),
     check_inner(a, b)?;
     let m = a.rows();
     let n = b.cols();
-    out.resize(m, n);
+    out.resize_for_overwrite(m, n);
     let bl = tune::blocking(m, a.cols(), n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         dense_rows_kernel(a, b, rows, chunk, bl);
@@ -237,7 +517,7 @@ pub fn blocked_gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(),
 ///
 /// Kept under its historical name (the seed's cache-blocked kernel) because
 /// it remains the workspace-wide dense entry point; the implementation is now
-/// the packed micro-kernel pipeline described in the module docs.
+/// the register-tiled kernel described in the module docs.
 ///
 /// # Errors
 ///
@@ -248,30 +528,31 @@ pub fn blocked_gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     Ok(out)
 }
 
-/// Per-row-chunk kernel for `C = Aᵀ · B`: the chunk covers rows of `C`
-/// (columns `p` of `A`); batch rows `i` are walked in panels of four.
+/// Per-row-chunk kernel for `C = Aᵀ · B`: the chunk covers rows `p` of `C`
+/// (columns `p` of `A`). It is the A·B tile with `A` read down its
+/// columns, accumulating across the whole batch.
 fn at_b_rows_kernel(a: &Matrix, b: &Matrix, prows: Range<usize>, chunk: &mut [f32]) {
-    let m = a.rows();
     let n = b.cols();
-    let mut i = 0;
-    while i + 4 <= m {
-        let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
-        let (b0, b1, b2, b3) = (b.row(i), b.row(i + 1), b.row(i + 2), b.row(i + 3));
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            axpy4(crow, [a0[p], a1[p], a2[p], a3[p]], b0, b1, b2, b3);
-        }
-        i += 4;
-    }
-    while i < m {
-        let arow = a.row(i);
-        let brow = b.row(i);
-        for (local, p) in prows.clone().enumerate() {
-            let crow = &mut chunk[local * n..(local + 1) * n];
-            axpy(crow, arow[p], brow);
-        }
-        i += 1;
-    }
+    // The block lies inside `A[.., prows]`, `B` and `chunk` given these
+    // shapes.
+    assert!(a.rows() == b.rows() && prows.end <= a.cols() && chunk.len() == prows.len() * n);
+    let args = AxpyArgs {
+        // An empty batch has no column to offset into.
+        a: a.as_slice()[prows.start.min(a.len())..].as_ptr(),
+        a_rs: 1,
+        a_ks: a.cols(),
+        b: b.as_slice().as_ptr(),
+        ldb: n,
+        k: a.rows(),
+        c: chunk.as_mut_ptr(),
+        ldc: n,
+        accumulate: false,
+    };
+    simd::dispatch(AxpyBlock {
+        args,
+        rows: prows.len(),
+        cols: n,
+    });
 }
 
 /// Transposed-operand GEMM `C = Aᵀ · B` without materialising `Aᵀ`, writing
@@ -295,7 +576,7 @@ pub fn gemm_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
     }
     let k = a.cols();
     let n = b.cols();
-    out.resize(k, n);
+    out.resize_for_overwrite(k, n);
     pool::run_row_chunks(k, n, out.as_mut_slice(), |prows, chunk| {
         at_b_rows_kernel(a, b, prows, chunk);
     });
@@ -313,17 +594,28 @@ pub fn gemm_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
     Ok(out)
 }
 
-/// Per-row-chunk kernel for `C = A · Bᵀ`: row `i` of `C` is the vector of
-/// dot products of `A.row(i)` with every row of `B`.
+/// Per-row-chunk kernel for `C = A · Bᵀ`: element `(i, j)` is the dot
+/// product of `A.row(i)` with `B.row(j)`, computed in blocks of dot
+/// accumulators.
 fn a_bt_rows_kernel(a: &Matrix, b: &Matrix, rows: Range<usize>, chunk: &mut [f32]) {
-    let n = b.rows();
-    for (local, i) in rows.enumerate() {
-        let arow = a.row(i);
-        let crow = &mut chunk[local * n..(local + 1) * n];
-        for (j, cj) in crow.iter_mut().enumerate() {
-            *cj = dot(arow, b.row(j));
-        }
-    }
+    let k = a.cols();
+    // The block lies inside `A[rows, ..]`, `B` and `chunk` given these
+    // shapes.
+    assert!(k == b.cols() && rows.end <= a.rows() && chunk.len() == rows.len() * b.rows());
+    let args = DotArgs {
+        a: a.as_slice()[rows.start * k..].as_ptr(),
+        lda: k,
+        b: b.as_slice().as_ptr(),
+        ldb: k,
+        k,
+        c: chunk.as_mut_ptr(),
+        ldc: b.rows(),
+    };
+    simd::dispatch(DotBlock {
+        args,
+        rows: rows.len(),
+        cols: b.rows(),
+    });
 }
 
 /// Transposed-operand GEMM `C = A · Bᵀ` without materialising `Bᵀ`, writing
@@ -347,7 +639,7 @@ pub fn gemm_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), Ge
     }
     let m = a.rows();
     let n = b.rows();
-    out.resize(m, n);
+    out.resize_for_overwrite(m, n);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
         a_bt_rows_kernel(a, b, rows, chunk);
     });
@@ -540,7 +832,7 @@ pub fn gemm_epilogue_into(
         }
     }
     let m = a.rows();
-    out.resize(m, n);
+    out.resize_for_overwrite(m, n);
     let bl = tune::blocking(m, a.cols(), n);
     let brow = bias.row(0);
     pool::run_row_chunks(m, n, out.as_mut_slice(), |rows, chunk| {
@@ -697,7 +989,7 @@ fn select_operands<'a>(
 /// families) and `k_sel` selects inner-dimension indices (column-row
 /// sampling, arXiv:1805.08079); `None` keeps the whole axis. The selected
 /// columns of `A` and the selected grid of `W` are packed into dense panels,
-/// the dense micro-kernel runs over them, and the compact product is
+/// the dense tile kernel runs over them, and the compact product is
 /// scattered back into the full-size zero output: steps 1–3 of the paper's
 /// Fig. 3(a), on either axis. An axis that is not selected is not packed:
 /// `A` is read in place when `k_sel` is `None`, and the product lands in

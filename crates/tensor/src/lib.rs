@@ -16,9 +16,9 @@
 //!   dimension of every GEMM entry point across workers; `TENSOR_THREADS=1`
 //!   pins execution fully serial, and results are bitwise identical for any
 //!   thread count.
-//! * [`simd`] — runtime-dispatched vector micro-kernels (AVX2 / AVX-512 /
-//!   NEON with a mandatory scalar fallback) every GEMM inner loop and fused
-//!   epilogue routes through; `TENSOR_SIMD=0` forces the scalar path.
+//! * [`simd`] — runtime dispatch over AVX2 / AVX-512 / NEON with a
+//!   mandatory scalar fallback: the registers of every GEMM tile and the
+//!   fused epilogues; `TENSOR_SIMD=0` forces the scalar path.
 //! * [`tune`] — a blocking autotuner that searches MC/KC/NC block sizes per
 //!   shape class and persists winners to `TUNE_GEMM.json`
 //!   (`TENSOR_TUNE_FILE` points loads elsewhere).

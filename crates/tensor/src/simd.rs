@@ -1,5 +1,5 @@
-//! Runtime-dispatched SIMD micro-kernels: the single point every GEMM inner
-//! loop and fused epilogue routes through.
+//! Runtime-dispatched SIMD: the registers of every GEMM tile and the fused
+//! epilogue kernels, behind one dispatch point.
 //!
 //! # Dispatch
 //!
@@ -17,17 +17,26 @@
 //!
 //! # Bitwise contract
 //!
-//! The vector kernels for [`axpy`], [`axpy4`], [`dot`], ReLU and every
-//! bias/mask/scale epilogue helper reproduce the scalar loops **bitwise**:
+//! The GEMM tiles (driven by `crate::gemm` over the registers each level
+//! provides), ReLU and every bias/mask/scale epilogue helper reproduce the
+//! scalar arithmetic **bitwise** at every level; the tiles also at every
+//! tile shape, block size and thread count:
 //!
 //! * multiplies and adds are issued as separate instructions in the scalar
 //!   evaluation order — never fused into FMA, which rounds once instead of
-//!   twice and would change the low bits;
-//! * [`dot`] keeps the historical 8-independent-lane accumulation and the
-//!   sequential lane reduction, so the AVX2 kernel is lane-for-lane the
-//!   scalar loop; under AVX-512 `dot` deliberately stays on the 8-lane
-//!   kernel rather than widening to 16 lanes (a 16-lane reduction would
-//!   reassociate the sum);
+//!   twice and would change the low bits. The cost: a mul+add pair does the
+//!   work of one FMA, so the GEMMs are capped at half of the machine's FMA
+//!   peak (`tensor.fma_peak_gflops` in the benchmark);
+//! * A·B and Aᵀ·B accumulate each output `c` from `+0.0`: each quad of `k`,
+//!   at the same absolute positions (multiples of 4) for every blocking, is
+//!   added as `c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)`, then each leftover
+//!   term as `c + a·b`;
+//! * A·Bᵀ keeps the 8-lane `dot` order: eight independent lane sums
+//!   over the 8-wide chunks of `k`, added in lane order onto `+0.0`, then the
+//!   leftover terms in order. A `zmm` holds two such 8-lane accumulators
+//!   side by side rather than one 16-lane sum, which would reassociate;
+//! * accumulators start at `+0.0` and add; the first product is never stored
+//!   directly, so a `-0.0` product still lands as `+0.0`;
 //! * ReLU is `max(v, 0.0)` in both worlds (`-0.0` inputs may normalise to
 //!   `+0.0` differently across ISAs; accumulated GEMM outputs never produce
 //!   `-0.0`).
@@ -194,39 +203,86 @@ pub fn set_level(requested: SimdLevel) -> SimdLevel {
 // ---------------------------------------------------------------------------
 
 mod scalar {
-    #[inline]
-    pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
-        for (cj, &bj) in c.iter_mut().zip(b) {
-            *cj += alpha * bj;
-        }
-    }
+    use super::{DotVec, Isa, TileVec};
 
-    #[inline]
-    pub fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-        for ((((cj, &x0), &x1), &x2), &x3) in c.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            *cj += alpha[0] * x0 + alpha[1] * x1 + alpha[2] * x2 + alpha[3] * x3;
-        }
-    }
+    /// Eight plain `f32` lanes: the scalar level's tile register. The lane
+    /// operations are spelled out so unoptimised builds run them without a
+    /// loop.
+    #[derive(Clone, Copy)]
+    pub struct Lanes([f32; 8]);
 
-    #[inline]
-    pub fn dot(x: &[f32], y: &[f32]) -> f32 {
+    impl TileVec for Lanes {
         const LANES: usize = 8;
-        let mut acc = [0.0f32; LANES];
-        let mut xs = x.chunks_exact(LANES);
-        let mut ys = y.chunks_exact(LANES);
-        for (xc, yc) in (&mut xs).zip(&mut ys) {
-            for l in 0..LANES {
-                acc[l] += xc[l] * yc[l];
-            }
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            Lanes([0.0; 8])
         }
-        let mut sum = 0.0;
-        for &lane in &acc {
-            sum += lane;
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            Lanes([v; 8])
         }
-        for (a, b) in xs.remainder().iter().zip(ys.remainder()) {
-            sum += a * b;
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            Lanes(p.cast::<[f32; 8]>().read_unaligned())
         }
-        sum
+        #[inline(always)]
+        unsafe fn load_partial(p: *const f32, n: usize) -> Self {
+            let mut out = [0.0; 8];
+            out[..n].copy_from_slice(std::slice::from_raw_parts(p, n));
+            Lanes(out)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            p.cast::<[f32; 8]>().write_unaligned(self.0);
+        }
+        #[inline(always)]
+        unsafe fn store_partial(self, p: *mut f32, n: usize) {
+            std::slice::from_raw_parts_mut(p, n).copy_from_slice(&self.0[..n]);
+        }
+        #[inline(always)]
+        unsafe fn add(self, rhs: Self) -> Self {
+            let ([a0, a1, a2, a3, a4, a5, a6, a7], [b0, b1, b2, b3, b4, b5, b6, b7]) =
+                (self.0, rhs.0);
+            Lanes([
+                a0 + b0,
+                a1 + b1,
+                a2 + b2,
+                a3 + b3,
+                a4 + b4,
+                a5 + b5,
+                a6 + b6,
+                a7 + b7,
+            ])
+        }
+        #[inline(always)]
+        unsafe fn mul(self, rhs: Self) -> Self {
+            let ([a0, a1, a2, a3, a4, a5, a6, a7], [b0, b1, b2, b3, b4, b5, b6, b7]) =
+                (self.0, rhs.0);
+            Lanes([
+                a0 * b0,
+                a1 * b1,
+                a2 * b2,
+                a3 * b3,
+                a4 * b4,
+                a5 * b5,
+                a6 * b6,
+                a7 * b7,
+            ])
+        }
+    }
+
+    impl DotVec for Lanes {}
+
+    /// The scalar level: a 4×8 A·B tile and a 4×2 block of dots.
+    pub struct Scalar;
+
+    impl Isa for Scalar {
+        type Vec = Lanes;
+        type Dot = Lanes;
+        const MR: usize = 4;
+        const NV: usize = 1;
+        const DR: usize = 4;
+        const DC: usize = 2;
     }
 
     #[inline]
@@ -262,6 +318,116 @@ mod scalar {
         for v in row.iter_mut() {
             *v = v.max(0.0);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// GEMM tile registers
+// ---------------------------------------------------------------------------
+
+/// One vector register of `f32` lanes as the register tiles of
+/// [`crate::gemm`] use it. Only lane-wise multiplies and adds exist, so a
+/// tile computes every output element with the same operations at every
+/// width.
+///
+/// # Safety
+///
+/// Every method requires the instruction set of the implementing type
+/// (guaranteed inside a [`Kernel`] run through [`dispatch`]) and valid
+/// pointers for the lanes it touches.
+pub(crate) trait TileVec: Copy {
+    /// Lanes per register.
+    const LANES: usize;
+    /// Every lane `+0.0`.
+    unsafe fn zero() -> Self;
+    /// Every lane `v`.
+    unsafe fn splat(v: f32) -> Self;
+    /// `LANES` values from `p`.
+    unsafe fn load(p: *const f32) -> Self;
+    /// The first `n < LANES` values from `p`, the other lanes zero. Reads
+    /// nothing at or past `p + n`.
+    unsafe fn load_partial(p: *const f32, n: usize) -> Self;
+    /// Stores every lane to `p`.
+    unsafe fn store(self, p: *mut f32);
+    /// Stores the first `n < LANES` lanes to `p`.
+    unsafe fn store_partial(self, p: *mut f32, n: usize);
+    /// Lane-wise `self + rhs`.
+    unsafe fn add(self, rhs: Self) -> Self;
+    /// Lane-wise `self · rhs`.
+    unsafe fn mul(self, rhs: Self) -> Self;
+}
+
+/// A register used as `DOTS = LANES / 8` eight-lane dot-product
+/// accumulators side by side: lane `l` of slot `s` sums
+/// `x[8c + l] · y_s[8c + l]` over the chunks `c`, which is the accumulator
+/// array of an 8-lane `dot` loop.
+///
+/// # Safety
+///
+/// As for [`TileVec`].
+pub(crate) trait DotVec: TileVec {
+    /// Dot products per register (1 or 2).
+    const DOTS: usize = Self::LANES / 8;
+    /// Eight values of `x` from `p`, repeated in every slot. The default
+    /// fits a one-dot register.
+    #[inline(always)]
+    unsafe fn load_x(p: *const f32) -> Self {
+        Self::load(p)
+    }
+    /// Eight values of `y_s` from `p + s · stride` for every slot `s`. The
+    /// default fits a one-dot register.
+    #[inline(always)]
+    unsafe fn load_y(p: *const f32, _stride: usize) -> Self {
+        Self::load(p)
+    }
+}
+
+/// An instruction set the GEMM tiles are instantiated for: its register
+/// types and its tile shapes.
+pub(crate) trait Isa {
+    /// Register of the A·B and Aᵀ·B tile.
+    type Vec: TileVec;
+    /// Register of the A·Bᵀ tile.
+    type Dot: DotVec;
+    /// Rows of the A·B tile (at most 4).
+    const MR: usize;
+    /// Registers per row of the A·B tile (at most 2): `NR = NV · LANES`.
+    const NV: usize;
+    /// Rows of the A·Bᵀ tile (at most 4).
+    const DR: usize;
+    /// Registers per row of the A·Bᵀ tile (at most 4), `DOTS` output
+    /// columns each.
+    const DC: usize;
+}
+
+/// A kernel body generic over the instruction set. [`dispatch`] runs it at
+/// the active level, compiled with that level's target features: every
+/// function `run` reaches must be `#[inline(always)]` to inherit them.
+pub(crate) trait Kernel {
+    /// Runs the body with the registers of `I`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `I`'s instruction set.
+    unsafe fn run<I: Isa>(self);
+}
+
+/// Runs `kernel` at the active level.
+#[inline]
+pub(crate) fn dispatch<K: Kernel>(kernel: K) {
+    // SAFETY (every arm): the active level is clamped to what the host
+    // supports (`clamp_to_detected`), so its instruction set is present;
+    // the scalar registers are plain arrays.
+    match level() {
+        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
+        SimdLevel::Avx512 => unsafe { x86::run_avx512(kernel) },
+        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
+        SimdLevel::Avx512 => unsafe { x86::run_avx2(kernel) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::run_avx2(kernel) },
+        #[cfg(target_arch = "aarch64")]
+        SimdLevel::Neon => unsafe { neon::run_neon(kernel) },
+        _ => unsafe { kernel.run::<scalar::Scalar>() },
     }
 }
 
@@ -402,91 +568,171 @@ pub fn tanh_scalar(x: f32) -> f32 {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{exp_consts, sigmoid_approx, tanh_approx, tanh_consts};
+    use super::{DotVec, Isa, Kernel, TileVec};
     use std::arch::x86_64::*;
 
-    /// `c += alpha * b`, 8 lanes at a time; mul then add, never FMA.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_avx2(c: &mut [f32], alpha: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let va = _mm256_set1_ps(alpha);
-        let mut j = 0;
-        while j + 8 <= n {
-            let vb = _mm256_loadu_ps(b.as_ptr().add(j));
-            let vc = _mm256_loadu_ps(c.as_ptr().add(j));
-            let r = _mm256_add_ps(vc, _mm256_mul_ps(va, vb));
-            _mm256_storeu_ps(c.as_mut_ptr().add(j), r);
-            j += 8;
+    /// Lanes `0..n` set, the rest clear: the AVX2 partial-access mask.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn lane_mask(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    impl TileVec for __m256 {
+        const LANES: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
         }
-        while j < n {
-            c[j] += alpha * b[j];
-            j += 1;
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm256_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_partial(p: *const f32, n: usize) -> Self {
+            _mm256_maskload_ps(p, lane_mask(n))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self);
+        }
+        #[inline(always)]
+        unsafe fn store_partial(self, p: *mut f32, n: usize) {
+            _mm256_maskstore_ps(p, lane_mask(n), self);
+        }
+        #[inline(always)]
+        unsafe fn add(self, rhs: Self) -> Self {
+            _mm256_add_ps(self, rhs)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, rhs: Self) -> Self {
+            _mm256_mul_ps(self, rhs)
         }
     }
 
-    /// Four-panel update in the scalar grouping order:
-    /// `c += ((a0·x0 + a1·x1) + a2·x2) + a3·x3`.
+    /// One 8-lane dot per `ymm`: lane for lane the scalar accumulator array.
+    impl DotVec for __m256 {}
+
+    /// AVX2: a 4×16 A·B tile and a 3×3 block of dots, sized to the 16
+    /// `ymm` registers.
+    pub struct Avx2;
+
+    impl Isa for Avx2 {
+        type Vec = __m256;
+        type Dot = __m256;
+        const MR: usize = 4;
+        const NV: usize = 2;
+        const DR: usize = 3;
+        const DC: usize = 3;
+    }
+
+    /// Runs `kernel` with the AVX2 registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy4_avx2(
-        c: &mut [f32],
-        alpha: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = c
-            .len()
-            .min(b0.len())
-            .min(b1.len())
-            .min(b2.len())
-            .min(b3.len());
-        let va0 = _mm256_set1_ps(alpha[0]);
-        let va1 = _mm256_set1_ps(alpha[1]);
-        let va2 = _mm256_set1_ps(alpha[2]);
-        let va3 = _mm256_set1_ps(alpha[3]);
-        let mut j = 0;
-        while j + 8 <= n {
-            let x0 = _mm256_loadu_ps(b0.as_ptr().add(j));
-            let x1 = _mm256_loadu_ps(b1.as_ptr().add(j));
-            let x2 = _mm256_loadu_ps(b2.as_ptr().add(j));
-            let x3 = _mm256_loadu_ps(b3.as_ptr().add(j));
-            let vc = _mm256_loadu_ps(c.as_ptr().add(j));
-            let mut t = _mm256_add_ps(_mm256_mul_ps(va0, x0), _mm256_mul_ps(va1, x1));
-            t = _mm256_add_ps(t, _mm256_mul_ps(va2, x2));
-            t = _mm256_add_ps(t, _mm256_mul_ps(va3, x3));
-            _mm256_storeu_ps(c.as_mut_ptr().add(j), _mm256_add_ps(vc, t));
-            j += 8;
+    pub unsafe fn run_avx2<K: Kernel>(kernel: K) {
+        kernel.run::<Avx2>();
+    }
+
+    // The AVX-512 intrinsics stabilised in 1.89; `tensor_avx512` is only
+    // emitted by build.rs on rustc >= 1.89, so the MSRV lint cannot apply.
+    #[allow(clippy::incompatible_msrv)]
+    #[cfg(tensor_avx512)]
+    impl TileVec for __m512 {
+        const LANES: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
         }
-        while j < n {
-            c[j] += alpha[0] * b0[j] + alpha[1] * b1[j] + alpha[2] * b2[j] + alpha[3] * b3[j];
-            j += 1;
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm512_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn load_partial(p: *const f32, n: usize) -> Self {
+            _mm512_maskz_loadu_ps(((1u32 << n) - 1) as __mmask16, p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self);
+        }
+        #[inline(always)]
+        unsafe fn store_partial(self, p: *mut f32, n: usize) {
+            _mm512_mask_storeu_ps(p, ((1u32 << n) - 1) as __mmask16, self);
+        }
+        #[inline(always)]
+        unsafe fn add(self, rhs: Self) -> Self {
+            _mm512_add_ps(self, rhs)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, rhs: Self) -> Self {
+            _mm512_mul_ps(self, rhs)
         }
     }
 
-    /// 8-lane dot product: the vector accumulator *is* the scalar kernel's
-    /// `[f32; 8]` lane array, reduced in the same sequential lane order.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_avx2(x: &[f32], y: &[f32]) -> f32 {
-        let n = x.len().min(y.len());
-        let mut acc = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(j));
-            let vy = _mm256_loadu_ps(y.as_ptr().add(j));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(vx, vy));
-            j += 8;
+    /// Two 8-lane dots per `zmm`: the low half accumulates against one row
+    /// of `y`, the high half against the next, each lane for lane the
+    /// scalar accumulator array.
+    // See the `__m512` `TileVec` impl: the build.rs cfg gate guarantees
+    // rustc >= 1.89.
+    #[allow(clippy::incompatible_msrv)]
+    #[cfg(tensor_avx512)]
+    impl DotVec for __m512 {
+        #[inline(always)]
+        unsafe fn load_x(p: *const f32) -> Self {
+            let x = _mm256_castps_pd(_mm256_loadu_ps(p));
+            _mm512_castpd_ps(_mm512_broadcast_f64x4(x))
         }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut sum = 0.0;
-        for &lane in &lanes {
-            sum += lane;
+        #[inline(always)]
+        unsafe fn load_y(p: *const f32, stride: usize) -> Self {
+            let lo = _mm512_castpd256_pd512(_mm256_castps_pd(_mm256_loadu_ps(p)));
+            let hi = _mm256_castps_pd(_mm256_loadu_ps(p.add(stride)));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi))
         }
-        while j < n {
-            sum += x[j] * y[j];
-            j += 1;
-        }
-        sum
+    }
+
+    /// AVX-512: a 4×32 A·B tile and a 4×8 block of dots in 16 `zmm`
+    /// registers.
+    #[cfg(tensor_avx512)]
+    pub struct Avx512;
+
+    #[cfg(tensor_avx512)]
+    impl Isa for Avx512 {
+        type Vec = __m512;
+        type Dot = __m512;
+        const MR: usize = 4;
+        const NV: usize = 2;
+        const DR: usize = 4;
+        const DC: usize = 4;
+    }
+
+    // See the `__m512` impl: the build.rs cfg gate guarantees rustc >= 1.89.
+    /// Runs `kernel` with the AVX-512 registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[allow(clippy::incompatible_msrv)]
+    #[cfg(tensor_avx512)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn run_avx512<K: Kernel>(kernel: K) {
+        kernel.run::<Avx512>();
     }
 
     #[target_feature(enable = "avx2")]
@@ -663,72 +909,6 @@ mod x86 {
             j += 1;
         }
     }
-
-    /// 16-lane axpy. Lane-wise mul+add has no cross-lane reduction, so any
-    /// width is bitwise identical to the scalar loop.
-    // The AVX-512 intrinsics stabilised in 1.89; `tensor_avx512` is only
-    // emitted by build.rs on rustc >= 1.89, so the MSRV lint cannot apply.
-    #[allow(clippy::incompatible_msrv)]
-    #[cfg(tensor_avx512)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy_avx512(c: &mut [f32], alpha: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let va = _mm512_set1_ps(alpha);
-        let mut j = 0;
-        while j + 16 <= n {
-            let vb = _mm512_loadu_ps(b.as_ptr().add(j));
-            let vc = _mm512_loadu_ps(c.as_ptr().add(j));
-            let r = _mm512_add_ps(vc, _mm512_mul_ps(va, vb));
-            _mm512_storeu_ps(c.as_mut_ptr().add(j), r);
-            j += 16;
-        }
-        while j < n {
-            c[j] += alpha * b[j];
-            j += 1;
-        }
-    }
-
-    /// 16-lane four-panel update in the scalar grouping order.
-    // See axpy_avx512: the build.rs cfg gate already guarantees rustc >= 1.89.
-    #[allow(clippy::incompatible_msrv)]
-    #[cfg(tensor_avx512)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy4_avx512(
-        c: &mut [f32],
-        alpha: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = c
-            .len()
-            .min(b0.len())
-            .min(b1.len())
-            .min(b2.len())
-            .min(b3.len());
-        let va0 = _mm512_set1_ps(alpha[0]);
-        let va1 = _mm512_set1_ps(alpha[1]);
-        let va2 = _mm512_set1_ps(alpha[2]);
-        let va3 = _mm512_set1_ps(alpha[3]);
-        let mut j = 0;
-        while j + 16 <= n {
-            let x0 = _mm512_loadu_ps(b0.as_ptr().add(j));
-            let x1 = _mm512_loadu_ps(b1.as_ptr().add(j));
-            let x2 = _mm512_loadu_ps(b2.as_ptr().add(j));
-            let x3 = _mm512_loadu_ps(b3.as_ptr().add(j));
-            let vc = _mm512_loadu_ps(c.as_ptr().add(j));
-            let mut t = _mm512_add_ps(_mm512_mul_ps(va0, x0), _mm512_mul_ps(va1, x1));
-            t = _mm512_add_ps(t, _mm512_mul_ps(va2, x2));
-            t = _mm512_add_ps(t, _mm512_mul_ps(va3, x3));
-            _mm512_storeu_ps(c.as_mut_ptr().add(j), _mm512_add_ps(vc, t));
-            j += 16;
-        }
-        while j < n {
-            c[j] += alpha[0] * b0[j] + alpha[1] * b1[j] + alpha[2] * b2[j] + alpha[3] * b3[j];
-            j += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -737,61 +917,71 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
+    use super::{Isa, Kernel, TileVec};
     use std::arch::aarch64::*;
 
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy_neon(c: &mut [f32], alpha: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let va = vdupq_n_f32(alpha);
-        let mut j = 0;
-        while j + 4 <= n {
-            let vb = vld1q_f32(b.as_ptr().add(j));
-            let vc = vld1q_f32(c.as_ptr().add(j));
-            vst1q_f32(c.as_mut_ptr().add(j), vaddq_f32(vc, vmulq_f32(va, vb)));
-            j += 4;
+    impl TileVec for float32x4_t {
+        const LANES: usize = 4;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            vdupq_n_f32(0.0)
         }
-        while j < n {
-            c[j] += alpha * b[j];
-            j += 1;
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            vdupq_n_f32(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            vld1q_f32(p)
+        }
+        #[inline(always)]
+        unsafe fn load_partial(p: *const f32, n: usize) -> Self {
+            let mut lanes = [0.0f32; 4];
+            std::ptr::copy_nonoverlapping(p, lanes.as_mut_ptr(), n);
+            vld1q_f32(lanes.as_ptr())
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            vst1q_f32(p, self);
+        }
+        #[inline(always)]
+        unsafe fn store_partial(self, p: *mut f32, n: usize) {
+            let mut lanes = [0.0f32; 4];
+            vst1q_f32(lanes.as_mut_ptr(), self);
+            std::ptr::copy_nonoverlapping(lanes.as_ptr(), p, n);
+        }
+        #[inline(always)]
+        unsafe fn add(self, rhs: Self) -> Self {
+            vaddq_f32(self, rhs)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, rhs: Self) -> Self {
+            vmulq_f32(self, rhs)
         }
     }
 
+    /// NEON: a 4×8 A·B tile and a 4×2 block of dots. Each 8-lane dot
+    /// stays in the scalar lane array, which the compiler maps onto two `q`
+    /// registers.
+    pub struct Neon;
+
+    impl Isa for Neon {
+        type Vec = float32x4_t;
+        type Dot = super::scalar::Lanes;
+        const MR: usize = 4;
+        const NV: usize = 2;
+        const DR: usize = 4;
+        const DC: usize = 2;
+    }
+
+    /// Runs `kernel` with the NEON registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support NEON (always true on aarch64).
     #[target_feature(enable = "neon")]
-    pub unsafe fn axpy4_neon(
-        c: &mut [f32],
-        alpha: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = c
-            .len()
-            .min(b0.len())
-            .min(b1.len())
-            .min(b2.len())
-            .min(b3.len());
-        let va0 = vdupq_n_f32(alpha[0]);
-        let va1 = vdupq_n_f32(alpha[1]);
-        let va2 = vdupq_n_f32(alpha[2]);
-        let va3 = vdupq_n_f32(alpha[3]);
-        let mut j = 0;
-        while j + 4 <= n {
-            let x0 = vld1q_f32(b0.as_ptr().add(j));
-            let x1 = vld1q_f32(b1.as_ptr().add(j));
-            let x2 = vld1q_f32(b2.as_ptr().add(j));
-            let x3 = vld1q_f32(b3.as_ptr().add(j));
-            let vc = vld1q_f32(c.as_ptr().add(j));
-            let mut t = vaddq_f32(vmulq_f32(va0, x0), vmulq_f32(va1, x1));
-            t = vaddq_f32(t, vmulq_f32(va2, x2));
-            t = vaddq_f32(t, vmulq_f32(va3, x3));
-            vst1q_f32(c.as_mut_ptr().add(j), vaddq_f32(vc, t));
-            j += 4;
-        }
-        while j < n {
-            c[j] += alpha[0] * b0[j] + alpha[1] * b1[j] + alpha[2] * b2[j] + alpha[3] * b3[j];
-            j += 1;
-        }
+    pub unsafe fn run_neon<K: Kernel>(kernel: K) {
+        kernel.run::<Neon>();
     }
 
     #[target_feature(enable = "neon")]
@@ -890,51 +1080,6 @@ mod neon {
 // ---------------------------------------------------------------------------
 // Dispatch points
 // ---------------------------------------------------------------------------
-
-/// `c += alpha * b` over equal-length slices (the shorter length wins, like
-/// the historical `zip` loop).
-#[inline]
-pub fn axpy(c: &mut [f32], alpha: f32, b: &[f32]) {
-    match level() {
-        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
-        SimdLevel::Avx512 => unsafe { x86::axpy_avx512(c, alpha, b) },
-        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
-        SimdLevel::Avx512 => unsafe { x86::axpy_avx2(c, alpha, b) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::axpy_avx2(c, alpha, b) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::axpy_neon(c, alpha, b) },
-        _ => scalar::axpy(c, alpha, b),
-    }
-}
-
-/// `c += a0·b0 + a1·b1 + a2·b2 + a3·b3` in the scalar grouping order.
-#[inline]
-pub fn axpy4(c: &mut [f32], alpha: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    match level() {
-        #[cfg(all(target_arch = "x86_64", tensor_avx512))]
-        SimdLevel::Avx512 => unsafe { x86::axpy4_avx512(c, alpha, b0, b1, b2, b3) },
-        #[cfg(all(target_arch = "x86_64", not(tensor_avx512)))]
-        SimdLevel::Avx512 => unsafe { x86::axpy4_avx2(c, alpha, b0, b1, b2, b3) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::axpy4_avx2(c, alpha, b0, b1, b2, b3) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::axpy4_neon(c, alpha, b0, b1, b2, b3) },
-        _ => scalar::axpy4(c, alpha, b0, b1, b2, b3),
-    }
-}
-
-/// Dot product in the historical 8-lane accumulation order (see module
-/// docs); NEON keeps the scalar loop for the same reason AVX-512 delegates
-/// to the 8-lane AVX2 kernel — a 4-lane reduction would reassociate.
-#[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::dot_avx2(x, y) },
-        _ => scalar::dot(x, y),
-    }
-}
 
 /// `row[j] += bias[j]`.
 #[inline]
@@ -1105,38 +1250,134 @@ mod tests {
         });
     }
 
+    /// The levels this host can run, scalar first.
+    fn supported_levels() -> Vec<SimdLevel> {
+        [
+            SimdLevel::Scalar,
+            SimdLevel::Neon,
+            SimdLevel::Avx2,
+            SimdLevel::Avx512,
+        ]
+        .into_iter()
+        .filter(|&l| clamp_to_detected(l) == l)
+        .collect()
+    }
+
+    /// A quad update `c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)` and an
+    /// 8-lane dot `c·b0` over one row, built from the tile registers of the
+    /// active level the way the GEMM tiles use them: whole registers, then
+    /// a partial one.
+    struct RegisterProbe<'a> {
+        c: &'a [f32],
+        b: [&'a [f32]; 4],
+        alpha: [f32; 4],
+        quad: &'a mut [f32],
+        dot: &'a mut f32,
+    }
+
+    impl Kernel for RegisterProbe<'_> {
+        unsafe fn run<I: Isa>(self) {
+            let lanes = <I::Vec as TileVec>::LANES;
+            let len = self.c.len();
+            let x = self.alpha.map(|a| <I::Vec as TileVec>::splat(a));
+            let mut j = 0;
+            while j < len {
+                let n = lanes.min(len - j);
+                let load = |row: &[f32]| {
+                    let p = row[j..].as_ptr();
+                    if n == lanes {
+                        <I::Vec as TileVec>::load(p)
+                    } else {
+                        <I::Vec as TileVec>::load_partial(p, n)
+                    }
+                };
+                let t = x[0].mul(load(self.b[0])).add(x[1].mul(load(self.b[1])));
+                let t = t.add(x[2].mul(load(self.b[2])));
+                let t = t.add(x[3].mul(load(self.b[3])));
+                let r = load(self.c).add(t);
+                let out = self.quad[j..].as_mut_ptr();
+                if n == lanes {
+                    r.store(out);
+                } else {
+                    r.store_partial(out, n);
+                }
+                j += lanes;
+            }
+            // Every slot of a dot register reads the same row (stride 0),
+            // so each slot must hold the same eight lanes.
+            let mut acc = <I::Dot as TileVec>::zero();
+            let chunks = len / 8;
+            for ch in 0..chunks {
+                let x = <I::Dot as DotVec>::load_x(self.c[ch * 8..].as_ptr());
+                let y = <I::Dot as DotVec>::load_y(self.b[0][ch * 8..].as_ptr(), 0);
+                acc = acc.add(x.mul(y));
+            }
+            let mut lanes8 = [0.0f32; 16];
+            acc.store(lanes8.as_mut_ptr());
+            for s in 1..<I::Dot as DotVec>::DOTS {
+                assert_eq!(lanes8[..8], lanes8[s * 8..s * 8 + 8], "dot slot {s}");
+            }
+            let mut sum = 0.0;
+            for &lane in &lanes8[..8] {
+                sum += lane;
+            }
+            for t in chunks * 8..len {
+                sum += self.c[t] * self.b[0][t];
+            }
+            *self.dot = sum;
+        }
+    }
+
     #[test]
     fn vector_kernels_match_scalar_bitwise() {
-        // Odd lengths exercise every remainder tail.
+        // Odd lengths exercise every partial register.
         for len in [1usize, 7, 8, 9, 16, 31, 64, 100] {
             let b0 = test_data(len);
             let b1: Vec<f32> = b0.iter().map(|v| v * 0.5 + 1.0).collect();
             let b2: Vec<f32> = b0.iter().map(|v| v * -0.25 + 2.0).collect();
             let b3: Vec<f32> = b0.iter().map(|v| v * 2.0 - 3.0).collect();
-            let c0 = test_data(len);
+            let c0 = test_data(len + 5)[5..].to_vec();
+            let alpha = [1.25, -0.5, 0.75, 2.0];
 
-            let mut expected_axpy = c0.clone();
-            scalar::axpy(&mut expected_axpy, 1.25, &b0);
-            let mut expected_axpy4 = c0.clone();
-            scalar::axpy4(
-                &mut expected_axpy4,
-                [1.25, -0.5, 0.75, 2.0],
-                &b0,
-                &b1,
-                &b2,
-                &b3,
-            );
-            let expected_dot = scalar::dot(&c0, &b0);
+            // The documented scalar arithmetic, written out.
+            let expected_quad: Vec<f32> = (0..len)
+                .map(|j| {
+                    c0[j]
+                        + (((alpha[0] * b0[j] + alpha[1] * b1[j]) + alpha[2] * b2[j])
+                            + alpha[3] * b3[j])
+                })
+                .collect();
+            let mut lane_sums = [0.0f32; 8];
+            for j in 0..len / 8 * 8 {
+                lane_sums[j % 8] += c0[j] * b0[j];
+            }
+            let mut expected_dot = 0.0f32;
+            for lane in lane_sums {
+                expected_dot += lane;
+            }
+            for j in len / 8 * 8..len {
+                expected_dot += c0[j] * b0[j];
+            }
 
-            with_level(detected_level(), |_| {
-                let mut c = c0.clone();
-                axpy(&mut c, 1.25, &b0);
-                assert_eq!(c, expected_axpy, "axpy len {len}");
-                let mut c = c0.clone();
-                axpy4(&mut c, [1.25, -0.5, 0.75, 2.0], &b0, &b1, &b2, &b3);
-                assert_eq!(c, expected_axpy4, "axpy4 len {len}");
-                assert_eq!(dot(&c0, &b0), expected_dot, "dot len {len}");
-            });
+            for level in supported_levels() {
+                with_level(level, |_| {
+                    let mut quad = vec![f32::NAN; len];
+                    let mut dot = f32::NAN;
+                    dispatch(RegisterProbe {
+                        c: &c0,
+                        b: [&b0, &b1, &b2, &b3],
+                        alpha,
+                        quad: &mut quad,
+                        dot: &mut dot,
+                    });
+                    assert_eq!(quad, expected_quad, "quad update len {len} at {level:?}");
+                    assert_eq!(
+                        dot.to_bits(),
+                        expected_dot.to_bits(),
+                        "dot len {len} at {level:?}"
+                    );
+                });
+            }
         }
     }
 

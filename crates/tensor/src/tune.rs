@@ -692,9 +692,11 @@ mod tests {
     #[test]
     fn tuned_blockings_produce_bitwise_identical_products() {
         // The numerics argument in the module docs, checked empirically:
-        // every legal blocking yields the same bits.
-        let mut a = Matrix::zeros(13, 37);
-        let mut b = Matrix::zeros(37, 29);
+        // every legal blocking yields the same bits. The shape is larger
+        // than every non-zero candidate block (mc ≤ 128, kc ≤ 256,
+        // nc ≤ 256), so each candidate really splits the product.
+        let mut a = Matrix::zeros(130, 300);
+        let mut b = Matrix::zeros(300, 290);
         fill_workload(&mut a, 1);
         fill_workload(&mut b, 2);
         let mut reference = Matrix::zeros(0, 0);

@@ -1,14 +1,16 @@
-//! SIMD-vs-scalar parity for the runtime-dispatched vector micro-kernels.
+//! SIMD-vs-scalar parity for the runtime-dispatched GEMM tiles and epilogues.
 //!
 //! The `tensor::simd` contract is that switching the dispatch level never
 //! changes ReLU/Identity results by a single bit: every vector kernel
 //! replicates the scalar accumulation order exactly (mul-then-add, no FMA,
 //! the 8-lane `dot` reduction preserved). These tests pin that contract
-//! through the public API — raw micro-kernels, the dense/transposed GEMMs
-//! and every compacted kernel family via `Linear::forward_act_into`, at
-//! serial and parallel pool widths — and bound the documented polynomial
-//! tolerance of the sigmoid/tanh epilogues against libm. A dispatch test
-//! asserts the detected ISA is actually what gets selected.
+//! through the public API — the register tiles on single ragged rows, the
+//! dense/transposed GEMMs over a grid of tile-edge shapes at every
+//! supported level, and every compacted kernel family via
+//! `Linear::forward_act_into`, at serial and parallel pool widths — and
+//! bound the documented polynomial tolerance of the sigmoid/tanh epilogues
+//! against libm. A dispatch test asserts the detected ISA is actually what
+//! gets selected.
 //!
 //! The SIMD level is process-global state, so every test here serialises
 //! on one mutex and restores the entry level before returning.
@@ -94,89 +96,156 @@ fn runtime_dispatch_selects_the_detected_isa() {
     simd::set_level(entry);
 }
 
+/// The levels this host can run, scalar first.
+fn supported_levels() -> Vec<SimdLevel> {
+    [
+        SimdLevel::Scalar,
+        SimdLevel::Neon,
+        SimdLevel::Avx2,
+        SimdLevel::Avx512,
+    ]
+    .into_iter()
+    .filter(|&l| simd::clamp_to_detected(l) == l)
+    .collect()
+}
+
+/// `C = A·B` the documented way, one element at a time: from `+0.0`, each
+/// quad of `p` added as `c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)`, then each
+/// leftover term as `c + a·b`.
+fn quad_order_reference(a: &Matrix, b: &Matrix) -> Matrix {
+    let k = a.cols();
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+        let term = |p: usize| a[(i, p)] * b[(p, j)];
+        let mut c = 0.0f32;
+        let mut p = 0;
+        while p + 4 <= k {
+            c += ((term(p) + term(p + 1)) + term(p + 2)) + term(p + 3);
+            p += 4;
+        }
+        for p in p..k {
+            c += term(p);
+        }
+        c
+    })
+}
+
+/// `C = A·Bᵀ` the documented `dot` way: eight lane sums over the 8-wide
+/// chunks of `k`, added in lane order onto `+0.0`, then the leftover terms.
+fn dot_order_reference(a: &Matrix, b: &Matrix) -> Matrix {
+    let k = a.cols();
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+        let (x, y) = (a.row(i), b.row(j));
+        let mut lanes = [0.0f32; 8];
+        for p in 0..k / 8 * 8 {
+            lanes[p % 8] += x[p] * y[p];
+        }
+        let mut sum = 0.0f32;
+        for lane in lanes {
+            sum += lane;
+        }
+        for p in k / 8 * 8..k {
+            sum += x[p] * y[p];
+        }
+        sum
+    })
+}
+
 #[test]
 fn micro_kernels_match_scalar_bitwise_at_ragged_lengths() {
+    // The tile arithmetic on single rows 31 wide: three 8-lane registers
+    // (one 16-lane register and a partial one on AVX-512) plus a 7-wide
+    // tail, in each of the three tile kinds.
     let _g = level_guard();
     let entry = simd::level();
+    pool::set_threads(1);
     let mut rng = StdRng::seed_from_u64(0x51D0);
-    // 31 floats: three 8-lane blocks (one 16-lane + rags on AVX-512) plus
-    // a 7-element scalar tail.
-    let x: Vec<f32> = workload(&mut rng, 1, 31).as_slice().to_vec();
-    let y: Vec<f32> = workload(&mut rng, 1, 31).as_slice().to_vec();
-    let quads: Vec<Vec<f32>> = (0..4)
-        .map(|_| workload(&mut rng, 1, 31).as_slice().to_vec())
-        .collect();
-
-    simd::set_level(SimdLevel::Scalar);
-    let mut axpy_scalar = x.clone();
-    simd::axpy(&mut axpy_scalar, 0.37, &y);
-    let mut axpy4_scalar = x.clone();
-    simd::axpy4(
-        &mut axpy4_scalar,
-        [0.1, -0.2, 0.3, -0.4],
-        &quads[0],
-        &quads[1],
-        &quads[2],
-        &quads[3],
-    );
-    let dot_scalar = simd::dot(&x, &y);
-
-    simd::set_level(simd::detected_level());
-    let mut axpy_vec = x.clone();
-    simd::axpy(&mut axpy_vec, 0.37, &y);
-    let mut axpy4_vec = x.clone();
-    simd::axpy4(
-        &mut axpy4_vec,
-        [0.1, -0.2, 0.3, -0.4],
-        &quads[0],
-        &quads[1],
-        &quads[2],
-        &quads[3],
-    );
-    let dot_vec = simd::dot(&x, &y);
-    simd::set_level(entry);
-
-    assert_eq!(
-        axpy_scalar, axpy_vec,
-        "axpy must be bitwise level-invariant"
-    );
-    assert_eq!(
-        axpy4_scalar, axpy4_vec,
-        "axpy4 must be bitwise level-invariant"
-    );
-    assert_eq!(
-        dot_scalar.to_bits(),
-        dot_vec.to_bits(),
-        "dot must reproduce the 8-lane reduction order bitwise"
-    );
+    let x = workload(&mut rng, 1, 31);
+    let y = workload(&mut rng, 1, 31);
+    // One quad of k and one leftover term.
+    let alpha = Matrix::from_rows(&[&[0.1, -0.2, 0.3, -0.4, 0.37]]);
+    let panel = workload(&mut rng, 5, 31);
+    let expected_axpy = quad_order_reference(&alpha, &panel);
+    let expected_dot = dot_order_reference(&x, &y);
+    for level in supported_levels() {
+        simd::set_level(level);
+        let axpy = blocked_gemm(&alpha, &panel).unwrap();
+        let axpy_t = gemm_at_b(&alpha.transpose(), &panel).unwrap();
+        let dot = gemm_a_bt(&x, &y).unwrap();
+        simd::set_level(entry);
+        assert_eq!(axpy, expected_axpy, "A·B tile at {level:?}");
+        assert_eq!(axpy_t, expected_axpy, "Aᵀ·B tile at {level:?}");
+        assert_eq!(
+            dot[(0, 0)].to_bits(),
+            expected_dot[(0, 0)].to_bits(),
+            "A·Bᵀ tile must reproduce the 8-lane reduction order at {level:?}"
+        );
+    }
 }
 
 #[test]
 fn dense_and_transposed_gemms_match_scalar_bitwise() {
     let _g = level_guard();
     let entry = simd::level();
-    pool::set_threads(1);
     let mut rng = StdRng::seed_from_u64(0x51D1);
-    // Odd shapes: ragged in every vector width.
-    let a = workload(&mut rng, 13, 37);
-    let b = workload(&mut rng, 37, 29);
-    let a_t = a.transpose();
-    let b_t = b.transpose();
-
+    // (m, k, n): m and n across the 4-row tiles, the 8/16-lane registers
+    // and the 16/32-column tiles; k below 4, off multiples of 4 and 8, and
+    // across the default KC = 128; m ≥ 32 so the pool really splits rows.
+    let shapes = [
+        (1, 1, 1),
+        (3, 2, 7),
+        (5, 3, 9),
+        (4, 4, 16),
+        (13, 37, 29),
+        (7, 12, 33),
+        (9, 130, 17),
+        (2, 259, 47),
+        (6, 8, 64),
+        (40, 29, 31),
+        (37, 131, 65),
+    ];
+    for (m, k, n) in shapes {
+        let a = workload(&mut rng, m, k);
+        let b = workload(&mut rng, k, n);
+        let (a_t, b_t) = (a.transpose(), b.transpose());
+        pool::set_threads(1);
+        simd::set_level(SimdLevel::Scalar);
+        let dense_scalar = blocked_gemm(&a, &b).unwrap();
+        let at_b_scalar = gemm_at_b(&a_t, &b).unwrap();
+        let a_bt_scalar = gemm_a_bt(&a, &b_t).unwrap();
+        for threads in [1, 2] {
+            pool::set_threads(threads);
+            for level in supported_levels() {
+                simd::set_level(level);
+                let dense = blocked_gemm(&a, &b).unwrap();
+                let at_b = gemm_at_b(&a_t, &b).unwrap();
+                let a_bt = gemm_a_bt(&a, &b_t).unwrap();
+                simd::set_level(entry);
+                let at = format!("{m}x{k}x{n} at {level:?} on {threads} thread(s)");
+                assert_eq!(dense, dense_scalar, "dense GEMM {at}");
+                assert_eq!(at_b, at_b_scalar, "AᵀB GEMM {at}");
+                assert_eq!(a_bt, a_bt_scalar, "ABᵀ GEMM {at}");
+            }
+        }
+    }
+    pool::set_threads(1);
+    // The scalar level is tiled too, so it is checked against the
+    // documented per-element order directly, on one ragged shape whose k
+    // crosses the default KC = 128.
+    let a = workload(&mut rng, 5, 133);
+    let b = workload(&mut rng, 133, 29);
+    let quad = quad_order_reference(&a, &b);
+    let dot = dot_order_reference(&a, &b.transpose());
     simd::set_level(SimdLevel::Scalar);
-    let dense_scalar = blocked_gemm(&a, &b).unwrap();
-    let at_b_scalar = gemm_at_b(&a_t, &b).unwrap();
-    let a_bt_scalar = gemm_a_bt(&a, &b_t).unwrap();
-
-    simd::set_level(simd::detected_level());
-    let dense_vec = blocked_gemm(&a, &b).unwrap();
-    let at_b_vec = gemm_at_b(&a_t, &b).unwrap();
-    let a_bt_vec = gemm_a_bt(&a, &b_t).unwrap();
+    let dense = blocked_gemm(&a, &b).unwrap();
+    let at_b = gemm_at_b(&a.transpose(), &b).unwrap();
+    let a_bt = gemm_a_bt(&a, &b.transpose()).unwrap();
     simd::set_level(entry);
-
-    assert_eq!(dense_scalar, dense_vec, "dense GEMM (axpy4/axpy path)");
-    assert_eq!(at_b_scalar, at_b_vec, "AᵀB GEMM");
-    assert_eq!(a_bt_scalar, a_bt_vec, "ABᵀ GEMM (dot path)");
+    assert_eq!(
+        dense, quad,
+        "scalar dense GEMM against the documented order"
+    );
+    assert_eq!(at_b, quad, "scalar AᵀB GEMM against the documented order");
+    assert_eq!(a_bt, dot, "scalar ABᵀ GEMM against the documented order");
 }
 
 #[test]
